@@ -342,28 +342,31 @@ fn audit_energy_ledger(base: u32, reports: &[FleetReport]) {
 }
 
 /// Wall-clock distribution of the named spans in `spans`: each duration is
-/// observed into the `metric` histogram (surfaced by `--bench-json`), and a
-/// p50/p95/max summary goes to stderr — stderr only, so stdout stays
-/// byte-stable at any thread count and on any machine.
+/// observed into the `fleet.{rung}.{metric}` histogram (surfaced by
+/// `--bench-json`), and a p50/p95/max summary goes to stderr — stderr
+/// only, so stdout stays byte-stable at any thread count and on any
+/// machine. `rung` is `scale`, `city` or `churn`.
 fn report_span_latency(
+    rung: &str,
     spans: &[braidio_telemetry::SpanRecord],
     name: &str,
     metric: &str,
     what: &str,
 ) {
+    let metric = format!("fleet.{rung}.{metric}");
     let mut durs: Vec<f64> = spans
         .iter()
         .filter(|s| s.name == name)
         .map(|s| s.dur_us)
         .collect();
     for us in &durs {
-        metrics::observe(metric, us * 1e-6);
+        metrics::observe(&metric, us * 1e-6);
     }
     durs.sort_by(|a, b| a.partial_cmp(b).expect("span durations are finite"));
     if !durs.is_empty() {
         let q = |p: f64| durs[((p * durs.len() as f64).ceil() as usize).max(1) - 1];
         eprintln!(
-            "fleet scale: {} {what} profiled, p50 {:.1} us, p95 {:.1} us, max {:.1} us",
+            "fleet {rung}: {} {what} profiled, p50 {:.1} us, p95 {:.1} us, max {:.1} us",
             durs.len(),
             q(0.50),
             q(0.95),
@@ -400,14 +403,29 @@ fn peak_rss_bytes() -> Option<f64> {
     None
 }
 
-/// Record the process peak RSS under `metric` and note it on stderr (the
-/// large-rung memory trajectory — the figure the matrix-free interference
-/// cache is accountable to).
-fn report_peak_rss(metric: &str) {
+/// Record the process peak RSS under `fleet.{rung}.peak_rss_bytes` and
+/// note it on stderr (the large-rung memory trajectory — the figure the
+/// matrix-free interference cache is accountable to).
+fn report_peak_rss(rung: &str) {
     if let Some(bytes) = peak_rss_bytes() {
-        metrics::record(metric, bytes);
-        eprintln!("fleet scale: peak RSS {:.1} MiB", bytes / (1024.0 * 1024.0));
+        metrics::record(&format!("fleet.{rung}.peak_rss_bytes"), bytes);
+        eprintln!(
+            "fleet {rung}: peak RSS {:.1} MiB",
+            bytes / (1024.0 * 1024.0)
+        );
     }
+}
+
+/// Note on stderr how many knots of the noncoherent-OOK BER table the
+/// process has filled so far (`label` leads the line). The table fills a
+/// knot only when a query first needs it, so this is the share of the
+/// Marcum-Q work the run actually paid for.
+fn report_ook_knots(label: &str) {
+    eprintln!(
+        "{label}: {} of {} noncoherent-OOK BER table knots filled",
+        braidio_phy::ber::ook_knots_filled(),
+        braidio_phy::ber::OOK_KNOTS,
+    );
 }
 
 /// Current value of a cumulative telemetry counter (0 when never counted).
@@ -420,17 +438,13 @@ fn counter_value(name: &str) -> u64 {
 }
 
 /// Record the rung's steady-state edge throughput under
-/// `{prefix}.edges_per_s`: interference edges recomputed (the
+/// `fleet.{rung}.edges_per_s`: interference edges recomputed (the
 /// `net.interference.edge_recompute` counter delta across the run)
 /// divided by the wall-clock spent inside `net.wave` spans. This is the
 /// figure the memoized FSPL kernel is accountable to — recomputed edges
 /// are exact simulated quantities, the wave wall-clock is host noise, so
 /// the ratio goes to stderr and the metric registry, never stdout.
-fn report_edge_throughput(
-    prefix: &str,
-    edges_before: u64,
-    spans: &[braidio_telemetry::SpanRecord],
-) {
+fn report_edge_throughput(rung: &str, edges_before: u64, spans: &[braidio_telemetry::SpanRecord]) {
     let edges = counter_value("net.interference.edge_recompute").saturating_sub(edges_before);
     let wave_s: f64 = spans
         .iter()
@@ -441,27 +455,27 @@ fn report_edge_throughput(
         return;
     }
     let eps = edges as f64 / wave_s;
-    metrics::record(&format!("{prefix}.edges_per_s"), eps);
+    metrics::record(&format!("fleet.{rung}.edges_per_s"), eps);
     eprintln!(
-        "fleet scale: {edges} interference edges in {wave_s:.3} s of planning waves \
+        "fleet {rung}: {edges} interference edges in {wave_s:.3} s of planning waves \
          ({:.1} M edges/s)",
         eps / 1e6
     );
 }
 
-/// Record the parallel execution configuration under `prefix`: the
+/// Record the parallel execution configuration under `fleet.{rung}`: the
 /// effective worker-thread count and the chunk size the planning wave's
 /// victim fan-out uses at this rung's pair count. Pure wall-clock
 /// attribution metadata — the simulated outputs are identical at any
 /// thread count, but a perf trajectory is meaningless without the core
 /// count it ran on.
-fn report_parallel_config(prefix: &str, pairs: usize) {
+fn report_parallel_config(rung: &str, pairs: usize) {
     let threads = braidio_pool::thread_count();
     let chunk = braidio_pool::default_chunk(pairs);
-    metrics::record(&format!("{prefix}.threads"), threads as f64);
-    metrics::record(&format!("{prefix}.wave_chunk_pairs"), chunk as f64);
+    metrics::record(&format!("fleet.{rung}.threads"), threads as f64);
+    metrics::record(&format!("fleet.{rung}.wave_chunk_pairs"), chunk as f64);
     eprintln!(
-        "fleet scale: {threads} worker thread{} ({}), wave fan-out chunk {chunk} pairs",
+        "fleet {rung}: {threads} worker thread{} ({}), wave fan-out chunk {chunk} pairs",
         if threads == 1 { "" } else { "s" },
         braidio_pool::thread_source().label(),
     );
@@ -498,20 +512,23 @@ pub fn run_scale(m: usize) {
     let spans = braidio_telemetry::spans_snapshot();
     braidio_telemetry::set_profiling(prev_profiling);
     report_span_latency(
+        "scale",
         &spans[spans_before..],
         "net.replan",
-        "fleet.scale.replan_latency_s",
+        "replan_latency_s",
         "re-plans",
     );
     report_span_latency(
+        "scale",
         &spans[spans_before..],
         "net.wave",
-        "fleet.scale.wave_latency_s",
+        "wave_latency_s",
         "planning waves",
     );
-    report_edge_throughput("fleet.scale", edges_before, &spans[spans_before..]);
-    report_peak_rss("fleet.scale.peak_rss_bytes");
-    report_parallel_config("fleet.scale", m);
+    report_edge_throughput("scale", edges_before, &spans[spans_before..]);
+    report_peak_rss("scale");
+    report_ook_knots("fleet scale");
+    report_parallel_config("scale", m);
 
     println!(
         "scale: {m} pairs on a room grid ({} m links, {} m pitch, 1 Wh each, {:.0} s horizon;",
@@ -581,14 +598,16 @@ pub fn run_city(m: usize) {
     let spans = braidio_telemetry::spans_snapshot();
     braidio_telemetry::set_profiling(prev_profiling);
     report_span_latency(
+        "city",
         &spans[spans_before..],
         "net.wave",
-        "fleet.city.wave_latency_s",
+        "wave_latency_s",
         "planning waves",
     );
-    report_edge_throughput("fleet.city", edges_before, &spans[spans_before..]);
-    report_peak_rss("fleet.city.peak_rss_bytes");
-    report_parallel_config("fleet.city", m);
+    report_edge_throughput("city", edges_before, &spans[spans_before..]);
+    report_peak_rss("city");
+    report_ook_knots("fleet city");
+    report_parallel_config("city", m);
 
     println!("city: {m} pairs in alternating mesh/star blocks (12 m street pitch, 0.5 m links,",);
     println!(
@@ -657,14 +676,16 @@ pub fn run_churn(devices: usize) {
     let spans = braidio_telemetry::spans_snapshot();
     braidio_telemetry::set_profiling(prev_profiling);
     report_span_latency(
+        "churn",
         &spans[spans_before..],
         "net.wave",
-        "fleet.churn.wave_latency_s",
+        "wave_latency_s",
         "planning waves",
     );
-    report_edge_throughput("fleet.churn", edges_before, &spans[spans_before..]);
-    report_peak_rss("fleet.churn.peak_rss_bytes");
-    report_parallel_config("fleet.churn", grid[0].1.pairs.len());
+    report_edge_throughput("churn", edges_before, &spans[spans_before..]);
+    report_peak_rss("churn");
+    report_ook_knots("fleet churn");
+    report_parallel_config("churn", grid[0].1.pairs.len());
 
     let window = grid[0]
         .1
@@ -916,6 +937,7 @@ pub fn run() {
     println!("   airtime for interference-free slots and recovers the full braid — and");
     println!("   with it the asymmetric-energy braid: the hub pays for the carrier while");
     println!("   coin-cell tags coast, instead of burning out on their active radios.");
+    report_ook_knots("fleet");
 }
 
 #[cfg(test)]

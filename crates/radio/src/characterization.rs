@@ -166,9 +166,14 @@ impl Characterization {
     /// The Braidio board as characterized in §6 (see DESIGN.md §3 for the
     /// full provenance of every constant).
     ///
-    /// The characterization is a pure constant, but building it involves
-    /// Marcum-Q bisections and range calibration, so it is constructed once
-    /// per process and cheaply cloned out of a static cache.
+    /// The characterization is a pure constant, but building it is not
+    /// free: about 60 exact Marcum-Q evaluations to find the operational
+    /// SNR, then range bisections whose BER queries fill about 100 knots of
+    /// the lazy [`ber_ook_noncoherent_fast`] table (0.13–0.2 s in release
+    /// on a 2-vCPU VM). So it is constructed once per process and cheaply
+    /// cloned out of a static cache.
+    ///
+    /// [`ber_ook_noncoherent_fast`]: braidio_phy::ber::ber_ook_noncoherent_fast
     pub fn braidio() -> Self {
         static BRAIDIO: OnceLock<Characterization> = OnceLock::new();
         BRAIDIO.get_or_init(Self::build_braidio).clone()

@@ -176,6 +176,10 @@ fn emit_slow(event: Event) {
 ///   they are diagnostics, not part of the byte-identity contract.
 /// * `mac.offload.memo_hit` / `memo_miss` — the offload-plan memo
 ///   (interleaving-dependent: counters only, never trace events).
+/// * `phy.ook.knot_fill` — knots of the noncoherent-OOK BER table
+///   (`braidio-phy::ber`) computed on first use; bumped per fill, never
+///   per lookup. Only fills made while capture is on are counted, so
+///   `ber::ook_knots_filled()` is the process-wide total.
 #[inline]
 pub fn count(name: &'static str) {
     if !active() {
