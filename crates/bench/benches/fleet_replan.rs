@@ -6,7 +6,7 @@
 //! original path (a fresh O(M) source scan per victim — O(M²) per wave,
 //! plus a full `options_under` evaluation per pair); the cached arms run
 //! the production path (`PairGainCache` steady-state sums, `OptionsMemo`
-//! hits); the batched arms run the SoA wave path (`rebuild_all` bulk
+//! hits); the batched arms run the SoA wave path (`rebuild_all_tiled` bulk
 //! sweeps, `options_under_batch`, key-sorted `prefetch`). All compute
 //! bit-identical answers — the determinism suite and
 //! the debug-build shadow check enforce that — so the arms measure the
@@ -21,6 +21,7 @@ use braidio_net::interference::{
 };
 use braidio_net::{run_fleet, Arbitration, FleetScenario};
 use braidio_radio::Mode;
+use braidio_rfsim::geometry::Point;
 use braidio_units::{Meters, Seconds, Watts};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -72,37 +73,45 @@ fn wave_brute(sc: &FleetScenario) -> f64 {
     acc
 }
 
+/// The direct per-edge physics as a tile kernel: `out[i]` is source
+/// `qs[i]`'s worst-case carrier at victim `v`, filled lane by lane.
+fn direct_tile(sc: &FleetScenario, v: usize, qs: &[u32], out: &mut [Watts]) {
+    let victim = sc.devices[sc.pairs[v].rx].pos;
+    for (o, &q) in out.iter_mut().zip(qs) {
+        let qp = &sc.pairs[q as usize];
+        let a = sc.devices[qp.tx].pos;
+        let b = sc.devices[qp.rx].pos;
+        let pos = if a.distance(victim) <= b.distance(victim) {
+            a
+        } else {
+            b
+        };
+        *o = carrier_contribution(
+            &sc.ch,
+            victim,
+            &CarrierSource {
+                pos,
+                rf: sc.ch.carrier_rf,
+                relation: sc.arbitration.relation(v, q as usize),
+            },
+        );
+    }
+}
+
+fn endpoints(sc: &FleetScenario, q: usize) -> (Point, Point) {
+    let qp = &sc.pairs[q];
+    (sc.devices[qp.tx].pos, sc.devices[qp.rx].pos)
+}
+
 /// The production interference path: cached per-edge contributions, sums
 /// replayed only when dirty.
 fn wave_cached(cache: &mut PairGainCache, sc: &FleetScenario) -> f64 {
     let mut acc = 0.0;
     for p in 0..sc.pairs.len() {
-        let victim = sc.devices[sc.pairs[p].rx].pos;
         let w = cache.interference(
             p,
-            |q| {
-                let qp = &sc.pairs[q];
-                (sc.devices[qp.tx].pos, sc.devices[qp.rx].pos)
-            },
-            |q| {
-                let qp = &sc.pairs[q];
-                let a = sc.devices[qp.tx].pos;
-                let b = sc.devices[qp.rx].pos;
-                let pos = if a.distance(victim) <= b.distance(victim) {
-                    a
-                } else {
-                    b
-                };
-                carrier_contribution(
-                    &sc.ch,
-                    victim,
-                    &CarrierSource {
-                        pos,
-                        rf: sc.ch.carrier_rf,
-                        relation: sc.arbitration.relation(p, q),
-                    },
-                )
-            },
+            |q| endpoints(sc, q),
+            |qs, out| direct_tile(sc, p, qs, out),
         );
         acc += w.watts();
     }
@@ -129,38 +138,16 @@ fn bench_interference_wave(c: &mut Criterion) {
             black_box(wave_cached(&mut cache, &sc))
         })
     });
-    // The batched planning-wave path: one `rebuild_all` sweep recomputes
+    // The batched planning-wave path: one `rebuild_all_tiled` sweep recomputes
     // every dirty sum in pair-index order, then the wave is all clean hits.
     let mut bulk = PairGainCache::new(PAIRS);
     c.bench_function("fleet_replan/interference_wave/bulk_rebuild/64", |b| {
         b.iter(|| {
             bulk.invalidate_pair(0);
-            bulk.rebuild_all(
+            bulk.rebuild_all_tiled(
                 |_| true,
-                |q| {
-                    let qp = &sc.pairs[q];
-                    (sc.devices[qp.tx].pos, sc.devices[qp.rx].pos)
-                },
-                |v, q| {
-                    let victim = sc.devices[sc.pairs[v].rx].pos;
-                    let qp = &sc.pairs[q];
-                    let a = sc.devices[qp.tx].pos;
-                    let b = sc.devices[qp.rx].pos;
-                    let pos = if a.distance(victim) <= b.distance(victim) {
-                        a
-                    } else {
-                        b
-                    };
-                    carrier_contribution(
-                        &sc.ch,
-                        victim,
-                        &CarrierSource {
-                            pos,
-                            rf: sc.ch.carrier_rf,
-                            relation: sc.arbitration.relation(v, q),
-                        },
-                    )
-                },
+                |q| endpoints(&sc, q),
+                |v, qs: &[u32], out: &mut [Watts]| direct_tile(&sc, v, qs, out),
             );
             black_box(wave_cached(&mut bulk, &sc))
         })
@@ -277,7 +264,7 @@ fn bench_options(c: &mut Criterion) {
 
 fn bench_thread_sweep(c: &mut Criterion) {
     // The intra-wave fan-out (DESIGN.md §12) at each worker count the CI
-    // smoke exercises: a fully-dirty `rebuild_all` sweep — the stage that
+    // smoke exercises: a fully-dirty `rebuild_all_tiled` sweep — the stage that
     // dominates a cold planning wave — at 1/2/4/8 threads. Every arm
     // computes identical bits (the fan-out is pure scheduling); the arm
     // spread is the wall-clock story. On a single-core host the arms time
@@ -290,32 +277,10 @@ fn bench_thread_sweep(c: &mut Criterion) {
             braidio_pool::with_threads(threads, || {
                 b.iter(|| {
                     cache.invalidate_pair(0);
-                    cache.rebuild_all(
+                    cache.rebuild_all_tiled(
                         |_| true,
-                        |q| {
-                            let qp = &sc.pairs[q];
-                            (sc.devices[qp.tx].pos, sc.devices[qp.rx].pos)
-                        },
-                        |v, q| {
-                            let victim = sc.devices[sc.pairs[v].rx].pos;
-                            let qp = &sc.pairs[q];
-                            let a = sc.devices[qp.tx].pos;
-                            let b = sc.devices[qp.rx].pos;
-                            let pos = if a.distance(victim) <= b.distance(victim) {
-                                a
-                            } else {
-                                b
-                            };
-                            carrier_contribution(
-                                &sc.ch,
-                                victim,
-                                &CarrierSource {
-                                    pos,
-                                    rf: sc.ch.carrier_rf,
-                                    relation: sc.arbitration.relation(v, q),
-                                },
-                            )
-                        },
+                        |q| endpoints(&sc, q),
+                        |v, qs: &[u32], out: &mut [Watts]| direct_tile(&sc, v, qs, out),
                     );
                     black_box(cache.cached_sum(0))
                 })

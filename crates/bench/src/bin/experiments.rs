@@ -278,12 +278,16 @@ fn write_or_die(path: &str, contents: &str) {
 /// when `--timeseries` was not given, so pre-existing consumers see the
 /// same report plus one constant key. Schema 7 marks the memoized edge
 /// kernel: the fleet rungs record steady-state edge throughput
-/// (`fleet.{scale,city,churn}.edges_per_s` — recomputed interference
-/// edges per second of planning-wave wall-clock) through `metrics`, and
-/// the `counters` array now carries the exact-FSPL-memo hit/miss totals
-/// (`net.fspl.hit` / `net.fspl.miss`; tile- and thread-count-dependent
-/// diagnostics, not simulated quantities). Report shape and every
-/// pre-existing key are unchanged.
+/// (`fleet.{scale,city,churn}.edges_per_s` — interference edges
+/// recomputed inside planning waves per second of planning-wave
+/// wall-clock) through `metrics`, and the `counters` array now carries the
+/// exact-FSPL-memo hit/miss totals (`net.fspl.hit` / `net.fspl.miss`;
+/// tile- and thread-count-dependent diagnostics, not simulated
+/// quantities). Report shape and every pre-existing key are unchanged.
+/// Edges rebuilt lazily outside waves are a separate count,
+/// `fleet.{rung}.lazy_edges`, recorded only when non-zero; the
+/// `net.interference.wave_edge_recompute` counter holds the wave share of
+/// `net.interference.edge_recompute`.
 ///
 /// Written by hand (no serde in the workspace); experiment, metric and
 /// series names are lowercase identifiers, so no JSON string escaping is
@@ -565,7 +569,8 @@ fn usage() {
     eprintln!("                  git sha, thread count and where it came from");
     eprintln!("                  (jobs-flag/env/auto), per-experiment seconds,");
     eprintln!("                  recorded headline metrics — including the fleet");
-    eprintln!("                  edges_per_s throughput — histogram metrics —");
+    eprintln!("                  edges_per_s throughput and lazy_edges count —");
+    eprintln!("                  histogram metrics —");
     eprintln!("                  including the --churn admission-latency, phase-");
     eprintln!("                  occupancy and session counters — telemetry");
     eprintln!("                  counters (with the net.fspl.hit/miss memo");

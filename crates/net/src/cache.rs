@@ -26,28 +26,26 @@
 //! adds in the same order is exact). The engine shadow-checks this in
 //! debug builds.
 //!
-//! **Bulk rebuild.** [`PairGainCache::rebuild_all`] refreshes every dirty
-//! sum in one pass over the flat arrays in pair-index order — the fleet
-//! engine's planning-wave sweep calls it once per wave so the per-pair
-//! lookups that follow are all O(1) clean hits. Because each victim's sum
-//! is computed by the identical per-victim loop the lazy path runs, the
-//! bulk path cannot move a bit. The bulk pass fans the selected victims
-//! out over the `braidio-pool` workers (each sum is an independent pure
-//! function of the wave's frozen geometry, merged back in victim index
-//! order), so a planning wave scales across cores without changing a bit
-//! — see DESIGN.md §12.
+//! **Two ways to rebuild, one loop.** A dirty sum is rebuilt either on
+//! demand, by [`PairGainCache::interference`] for the one victim that asks,
+//! or in bulk, by [`PairGainCache::rebuild_all_tiled`] for every dirty
+//! victim a filter selects. The fleet engine uses the bulk pass once, at
+//! bring-up, when every sum is cold and every pair is about to plan; after
+//! that an invalidated sum is read only by the next plan of its own pair,
+//! so it is rebuilt lazily (DESIGN.md §12). The bulk pass fans the selected
+//! victims out over the `braidio-pool` workers (each sum is an independent
+//! pure function of the frozen geometry, merged back in victim index
+//! order), so bring-up scales across cores without changing a bit.
 //!
-//! **Tiled sweep.** Every path funnels into one accumulation loop
-//! (the private `rebuild_one_tiled`) that gathers a victim's accepted
-//! sources into [`EDGE_TILE`]-wide index tiles and hands each tile to the
-//! edge kernel in one call ([`PairGainCache::rebuild_all_tiled`] passes
-//! the engine's batched `EdgeKernel::carrier_tile`; the scalar
-//! `rebuild_all`/`interference` entry points adapt per-edge closures onto
-//! the same loop). Tiling changes *batching only*: edges are still
-//! evaluated and accumulated serially in pair-index order, so the sums are
-//! bit-identical to the scalar walk — what it buys is one FSPL-memo lock
-//! acquisition per tile instead of per edge, and flat arrays the kernel's
-//! distance pass can vectorize over.
+//! **Tiled sweep.** Both paths funnel into one accumulation loop (the
+//! private `rebuild_one_tiled`) that gathers a victim's accepted sources
+//! into [`EDGE_TILE`]-wide index tiles and hands each tile to the caller's
+//! tile kernel in one call (the engine passes its batched
+//! `EdgeKernel::carrier_tile` to both). Tiling changes *batching only*:
+//! edges are still evaluated and accumulated serially in pair-index order,
+//! so the sums are bit-identical to the scalar walk — what it buys is one
+//! FSPL-memo lock acquisition per tile instead of per edge, and flat arrays
+//! the kernel's distance pass can vectorize over.
 //!
 //! **Far-field cull.** Optionally, a spatial grid drops sources whose
 //! contribution is provably below [`CULL_EPS_REL`] of the smallest detector
@@ -191,9 +189,10 @@ impl PairGainCache {
         self.live[q]
     }
 
-    /// Does any victim's sum need a rebuild? The engine's wave sweep polls
-    /// this to decide whether a bulk [`rebuild_all`](Self::rebuild_all)
-    /// pass has anything to do.
+    /// Does any victim's sum need a rebuild? The engine's bring-up wave
+    /// polls this to decide whether a bulk
+    /// [`rebuild_all_tiled`](Self::rebuild_all_tiled) pass has anything
+    /// to do.
     pub fn any_dirty(&self) -> bool {
         self.ndirty > 0
     }
@@ -265,14 +264,18 @@ impl PairGainCache {
     /// The worst-case foreign-carrier power at `victim`'s receiver.
     ///
     /// `endpoints(q)` returns pair `q`'s current `(tx, rx)` positions (used
-    /// only to rebuild cull candidate lists); `edge(q)` computes source
-    /// `q`'s contribution at this victim. On a clean sum neither closure is
-    /// called. A dirty sum recomputes the live sources' contributions in
-    /// pair-index order — bit-identical to the brute-force rescan.
-    pub fn interference<P, E>(&mut self, victim: usize, endpoints: P, mut edge: E) -> Watts
+    /// only to rebuild cull candidate lists); `edge_tile(qs, out)` fills
+    /// `out[i]` with source `qs[i]`'s contribution at this victim (at most
+    /// [`EDGE_TILE`] lanes per call, `qs` ascending). On a clean sum
+    /// neither closure is called. A dirty sum recomputes the live sources'
+    /// contributions in pair-index order — bit-identical to the
+    /// brute-force rescan, and to what
+    /// [`rebuild_all_tiled`](Self::rebuild_all_tiled) stores for the same
+    /// kernel.
+    pub fn interference<P, E>(&mut self, victim: usize, endpoints: P, mut edge_tile: E) -> Watts
     where
         P: Fn(usize) -> (Point, Point),
-        E: FnMut(usize) -> Watts,
+        E: FnMut(&[u32], &mut [Watts]),
     {
         if let Some(cull) = self.cull.as_mut() {
             if cull.stale {
@@ -284,7 +287,7 @@ impl PairGainCache {
             return Watts::new(self.sum[victim]);
         }
         telemetry::count("net.interference.sum_rebuild");
-        let acc = Self::rebuild_one(victim, self.n, &self.live, &self.cull, &mut edge);
+        let acc = Self::rebuild_one_tiled(victim, self.n, &self.live, &self.cull, &mut edge_tile);
         self.sum[victim] = acc.watts();
         self.sum_dirty[victim] = false;
         self.ndirty -= 1;
@@ -293,51 +296,26 @@ impl PairGainCache {
 
     /// Refresh every dirty sum the filter selects, in pair-index order, in
     /// one pass over the flat arrays. `keep(v)` gates which victims are
-    /// worth rebuilding (the engine skips dead and mobile pairs — mobility
-    /// refreshes positions lazily at event time, so those sums fall back to
-    /// the per-victim lazy path); `edge(v, q)` computes source `q`'s
-    /// contribution at victim `v`. Each victim's sum is produced by the
-    /// same per-victim loop the lazy path runs, so the bulk path is
-    /// bit-identical to demand-driven rebuilds.
+    /// worth rebuilding (the engine skips off-air and mobile pairs —
+    /// mobility refreshes positions lazily at event time, so those sums
+    /// fall back to the per-victim lazy path); the tile kernel
+    /// `edge_tile(v, qs, out)` fills `out[i]` with source `qs[i]`'s
+    /// contribution at victim `v` (at most [`EDGE_TILE`] lanes per call,
+    /// `qs` ascending in pair-index order). Each victim's sum is produced
+    /// by the same per-victim loop the lazy
+    /// [`interference`](Self::interference) path runs, accumulating the
+    /// returned contributions serially in lane order — so the bulk path is
+    /// bit-identical to demand-driven rebuilds, whatever the kernel
+    /// vectorizes internally.
     ///
     /// The victim fan-out runs on the work pool: each selected victim's sum
-    /// is an independent pure function of the (frozen-for-the-wave)
-    /// geometry, computed by the shared per-victim loop and written back in
-    /// victim index order — so the result is identical at any thread count,
-    /// and `edge` must be `Fn + Sync` (pure geometry, which every caller
-    /// passes anyway).
-    pub fn rebuild_all<K, P, E>(&mut self, keep: K, endpoints: P, edge: E)
-    where
-        K: Fn(usize) -> bool,
-        P: Fn(usize) -> (Point, Point),
-        E: Fn(usize, usize) -> Watts + Sync,
-    {
-        // Scalar adapter over the tiled sweep: fill each tile lane with the
-        // per-edge closure, in lane order — the identical edge evaluation
-        // and accumulation sequence, so existing callers move no bits.
-        self.rebuild_all_tiled(keep, endpoints, |v, qs: &[u32], out: &mut [Watts]| {
-            for (o, &q) in out.iter_mut().zip(qs) {
-                *o = edge(v, q as usize);
-            }
-        });
-    }
-
-    /// The tiled form of [`rebuild_all`](Self::rebuild_all): the engine's
-    /// wave sweep passes a tile kernel `edge_tile(v, qs, out)` that fills
-    /// `out[i]` with source `qs[i]`'s contribution at victim `v` (at most
-    /// [`EDGE_TILE`] lanes per call, `qs` ascending in pair-index order).
-    /// The cache gathers each victim's accepted sources into index tiles,
-    /// invokes the kernel per tile, and accumulates the returned
-    /// contributions serially in lane order — so the noncoherent sum is
-    /// performed in exactly the per-edge pair-index order of the scalar
-    /// path, whatever the kernel vectorizes internally.
-    ///
-    /// The victim fan-out runs on the work pool: each selected victim's sum
-    /// is an independent pure function of the (frozen-for-the-wave)
+    /// is an independent pure function of the (frozen-for-the-pass)
     /// geometry, computed by the shared per-victim loop and written back in
     /// victim index order — so the result is identical at any thread count,
     /// and `edge_tile` must be `Fn + Sync` (pure geometry, which every
-    /// caller passes anyway).
+    /// caller passes anyway). Edges evaluated here are also counted under
+    /// `net.interference.wave_edge_recompute`, so reports can tell bulk
+    /// work from lazy work.
     pub fn rebuild_all_tiled<K, P, E>(&mut self, keep: K, endpoints: P, edge_tile: E)
     where
         K: Fn(usize) -> bool,
@@ -364,8 +342,11 @@ impl PairGainCache {
             |i| {
                 let v = victims[i];
                 telemetry::count("net.interference.sum_rebuild");
-                Self::rebuild_one_tiled(v, n, live, cull, &mut |qs, out| edge_tile(v, qs, out))
-                    .watts()
+                Self::rebuild_one_tiled(v, n, live, cull, &mut |qs, out| {
+                    telemetry::count_by("net.interference.wave_edge_recompute", qs.len() as u64);
+                    edge_tile(v, qs, out)
+                })
+                .watts()
             },
         );
         for (&v, s) in victims.iter().zip(sums) {
@@ -375,30 +356,12 @@ impl PairGainCache {
         }
     }
 
-    /// Scalar per-edge entry to the shared loop, used by the lazy
-    /// [`interference`](Self::interference) path: each tile lane is filled
-    /// by one `edge(q)` call in lane order, so the edge evaluation sequence
-    /// is exactly the pre-tiling one.
-    fn rebuild_one(
-        victim: usize,
-        n: usize,
-        live: &[bool],
-        cull: &Option<Cull>,
-        mut edge: impl FnMut(usize) -> Watts,
-    ) -> Watts {
-        Self::rebuild_one_tiled(victim, n, live, cull, &mut |qs, out| {
-            for (o, &q) in out.iter_mut().zip(qs) {
-                *o = edge(q as usize);
-            }
-        })
-    }
-
     /// One victim's sum: live sources in pair-index order (the cull's
     /// candidate lists are sorted, so the culled walk keeps that order),
     /// gathered into [`EDGE_TILE`]-wide index tiles for the edge kernel and
     /// accumulated serially in lane order. This is the single accumulation
-    /// loop the lazy, bulk-scalar and bulk-tiled paths all share — the
-    /// bitwise contract lives here.
+    /// loop the lazy and bulk paths share — the bitwise contract lives
+    /// here.
     fn rebuild_one_tiled(
         victim: usize,
         n: usize,
@@ -559,6 +522,21 @@ mod tests {
         }
     }
 
+    /// A per-edge closure as a tile kernel: lanes filled in order.
+    fn lanes(edge: impl Fn(usize) -> Watts) -> impl FnMut(&[u32], &mut [Watts]) {
+        move |qs, out| {
+            assert!(qs.len() <= EDGE_TILE && qs.len() == out.len());
+            for (o, &q) in out.iter_mut().zip(qs) {
+                *o = edge(q as usize);
+            }
+        }
+    }
+
+    /// [`edge_fn`] as the bulk pass's victim-indexed tile kernel.
+    fn bulk_tile(eps: &[(Point, Point)]) -> impl Fn(usize, &[u32], &mut [Watts]) + Sync + '_ {
+        move |v, qs, out| lanes(edge_fn(eps, v))(qs, out)
+    }
+
     fn brute(eps: &[(Point, Point)], live: &[bool], victim: usize) -> Watts {
         let edge = edge_fn(eps, victim);
         let mut acc = Watts::new(0.0);
@@ -577,13 +555,13 @@ mod tests {
         let mut cache = PairGainCache::new(7);
         let live = vec![true; 7];
         for v in 0..7 {
-            let got = cache.interference(v, |q| eps[q], edge_fn(&eps, v));
+            let got = cache.interference(v, |q| eps[q], lanes(edge_fn(&eps, v)));
             assert_eq!(
                 got.watts().to_bits(),
                 brute(&eps, &live, v).watts().to_bits()
             );
             // Second call reuses the clean sum.
-            let again = cache.interference(v, |q| eps[q], |_| panic!("sum was clean"));
+            let again = cache.interference(v, |q| eps[q], |_, _| panic!("sum was clean"));
             assert_eq!(again.watts().to_bits(), got.watts().to_bits());
         }
     }
@@ -595,7 +573,7 @@ mod tests {
         let mut cache = PairGainCache::new(6);
         // Warm.
         for v in 0..6 {
-            cache.interference(v, |q| eps[q], edge_fn(&eps, v));
+            cache.interference(v, |q| eps[q], lanes(edge_fn(&eps, v)));
         }
         assert!(!cache.any_dirty(), "warm cache should be clean");
         // Kill pair 2.
@@ -603,7 +581,7 @@ mod tests {
         cache.mark_dead(2);
         assert!(cache.any_dirty());
         for v in 0..6 {
-            let got = cache.interference(v, |q| eps[q], edge_fn(&eps, v));
+            let got = cache.interference(v, |q| eps[q], lanes(edge_fn(&eps, v)));
             assert_eq!(
                 got.watts().to_bits(),
                 brute(&eps, &live, v).watts().to_bits()
@@ -613,7 +591,7 @@ mod tests {
         eps[4] = (Point::new(1.7, 0.3), Point::new(1.7, 0.9));
         cache.invalidate_pair(4);
         for v in 0..6 {
-            let got = cache.interference(v, |q| eps[q], edge_fn(&eps, v));
+            let got = cache.interference(v, |q| eps[q], lanes(edge_fn(&eps, v)));
             assert_eq!(
                 got.watts().to_bits(),
                 brute(&eps, &live, v).watts().to_bits()
@@ -632,7 +610,7 @@ mod tests {
             cache.set_live(q, false);
         }
         for v in 0..5 {
-            let got = cache.interference(v, |q| eps[q], edge_fn(&eps, v));
+            let got = cache.interference(v, |q| eps[q], lanes(edge_fn(&eps, v)));
             assert_eq!(
                 got.watts().to_bits(),
                 brute(&eps, &live, v).watts().to_bits()
@@ -643,7 +621,7 @@ mod tests {
         cache.set_live(3, true);
         assert!(cache.any_dirty());
         for v in 0..5 {
-            let got = cache.interference(v, |q| eps[q], edge_fn(&eps, v));
+            let got = cache.interference(v, |q| eps[q], lanes(edge_fn(&eps, v)));
             assert_eq!(
                 got.watts().to_bits(),
                 brute(&eps, &live, v).watts().to_bits()
@@ -662,48 +640,40 @@ mod tests {
         let eps = layout(11, 2.5);
         let mut bulk = PairGainCache::new(11);
         let mut lazy = PairGainCache::new(11);
-        bulk.rebuild_all(|_| true, |q| eps[q], |v, q| edge_fn(&eps, v)(q));
+        bulk.rebuild_all_tiled(|_| true, |q| eps[q], bulk_tile(&eps));
         assert!(!bulk.any_dirty());
         for v in 0..11 {
-            let a = bulk.interference(v, |q| eps[q], |_| panic!("bulk sum was clean"));
-            let b = lazy.interference(v, |q| eps[q], edge_fn(&eps, v));
+            let a = bulk.interference(v, |q| eps[q], |_, _| panic!("bulk sum was clean"));
+            let b = lazy.interference(v, |q| eps[q], lanes(edge_fn(&eps, v)));
             assert_eq!(a.watts().to_bits(), b.watts().to_bits(), "victim {v}");
         }
         // A filtered bulk pass leaves the skipped victim dirty (and says so).
         bulk.mark_dead(3);
         lazy.mark_dead(3);
-        bulk.rebuild_all(|v| v != 7, |q| eps[q], |v, q| edge_fn(&eps, v)(q));
+        bulk.rebuild_all_tiled(|v| v != 7, |q| eps[q], bulk_tile(&eps));
         assert!(bulk.any_dirty(), "skipped victim must keep the hint set");
-        let a = bulk.interference(7, |q| eps[q], edge_fn(&eps, 7));
-        let b = lazy.interference(7, |q| eps[q], edge_fn(&eps, 7));
+        let a = bulk.interference(7, |q| eps[q], lanes(edge_fn(&eps, 7)));
+        let b = lazy.interference(7, |q| eps[q], lanes(edge_fn(&eps, 7)));
         assert_eq!(a.watts().to_bits(), b.watts().to_bits());
     }
 
     #[test]
     fn tiled_rebuild_matches_scalar_bitwise() {
-        // A tile kernel that fills lanes with the scalar physics must land
-        // on exactly the scalar sums, across tile-boundary sizes (n-1
-        // sources: one short tile, exactly EDGE_TILE, full + remainder).
+        // The tiled loop must land on exactly the scalar per-edge walk,
+        // across tile-boundary sizes (n-1 sources: one short tile, exactly
+        // EDGE_TILE, full + remainder), in bulk and lazily.
         for n in [5, EDGE_TILE + 1, 2 * EDGE_TILE + 7] {
             let eps = layout(n, 1.5);
-            let mut tiled = PairGainCache::new(n);
-            let mut scalar = PairGainCache::new(n);
-            tiled.rebuild_all_tiled(
-                |_| true,
-                |q| eps[q],
-                |v, qs: &[u32], out: &mut [Watts]| {
-                    assert!(qs.len() <= EDGE_TILE && qs.len() == out.len());
-                    let edge = edge_fn(&eps, v);
-                    for (o, &q) in out.iter_mut().zip(qs) {
-                        *o = edge(q as usize);
-                    }
-                },
-            );
-            scalar.rebuild_all(|_| true, |q| eps[q], |v, q| edge_fn(&eps, v)(q));
+            let live = vec![true; n];
+            let mut bulk = PairGainCache::new(n);
+            let mut lazy = PairGainCache::new(n);
+            bulk.rebuild_all_tiled(|_| true, |q| eps[q], bulk_tile(&eps));
             for v in 0..n {
-                let a = tiled.cached_sum(v).expect("tiled sweep cleaned all");
-                let b = scalar.cached_sum(v).expect("scalar sweep cleaned all");
-                assert_eq!(a.watts().to_bits(), b.watts().to_bits(), "victim {v}/{n}");
+                let want = brute(&eps, &live, v).watts().to_bits();
+                let a = bulk.cached_sum(v).expect("bulk sweep cleaned all");
+                let b = lazy.interference(v, |q| eps[q], lanes(edge_fn(&eps, v)));
+                assert_eq!(a.watts().to_bits(), want, "bulk victim {v}/{n}");
+                assert_eq!(b.watts().to_bits(), want, "lazy victim {v}/{n}");
             }
         }
     }
@@ -716,7 +686,7 @@ mod tests {
         let cutoff = Meters::new(9.0); // keeps ±2 neighbours on the line
         let mut cache = PairGainCache::with_cull(9, cutoff);
         for v in 0..9 {
-            let got = cache.interference(v, |q| eps[q], edge_fn(&eps, v));
+            let got = cache.interference(v, |q| eps[q], lanes(edge_fn(&eps, v)));
             let edge = edge_fn(&eps, v);
             let vp = eps[v].1;
             let mut expect = Watts::new(0.0);

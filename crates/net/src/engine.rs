@@ -32,28 +32,35 @@
 //!
 //! # Batched planning waves
 //!
-//! A planning wave (the burst of `install_plan` calls after bring-up, a
-//! death, or a mobility refresh) is executed as a batched sweep
-//! (`Fleet::wave_sweep`): first the [`PairGainCache`] bulk-rebuilds every
-//! stale interference sum over the flat arrays in pair-index order, then
-//! the wave's quantized [`OptionsMemo`] keys are collected, sorted and
-//! deduplicated, and the misses are resolved in key order through the
-//! batched BER surface (`phy::surface::BerSurface::ber_batch`) — one lock
-//! acquisition per (mode, rate) group for the whole wave. This is
-//! output-neutral by construction: memo values are canonical functions of
-//! their quantized keys, bulk-rebuilt sums run the identical per-victim
-//! accumulation loop the lazy path runs, and any state change after the
-//! sweep re-dirties the caches so the per-pair path recomputes exactly what
-//! the pre-refactor engine would have.
+//! Bring-up — the burst of `install_plan` calls as the first pairs come
+//! up — is executed as one batched sweep (`Fleet::wave_sweep`): first the
+//! [`PairGainCache`] bulk-rebuilds every cold interference sum over the
+//! flat arrays in pair-index order, then the quantized [`OptionsMemo`]
+//! keys are collected, sorted and deduplicated, and the misses are
+//! resolved in key order through the batched BER surface
+//! (`phy::surface::BerSurface::ber_batch`) — one lock acquisition per
+//! (mode, rate) group for the whole sweep.
+//!
+//! That wave runs once. At bring-up every sum is cold and every pair plans
+//! at least once, so batching pays. Later, a death, a liveness flip or a
+//! move dirties every sum, but a dirty sum is read only by the next plan
+//! of its own pair, and the next flip usually dirties it again first
+//! (DESIGN.md §12 has the measurement). So after bring-up
+//! `interference_for` rebuilds a dirty sum on demand, for the pair that
+//! plans, and the memo resolves misses one key at a time. This is output-neutral by construction: memo values are
+//! canonical functions of their quantized keys, and the bulk and lazy
+//! rebuilds run the identical per-victim accumulation loop through the
+//! same tile kernel (`edge_tile`), so every sum has the same bits
+//! whichever path built it.
 //!
 //! The wave's heavy stages — the per-victim interference sums and the
 //! per-pair key collection — fan out over the `braidio-pool` workers with
 //! index-chunked scheduling and in-order merges, so a single large scenario
-//! uses every core while staying byte-identical at any `--jobs` count
-//! (DESIGN.md §12). Plan *installation* stays inside the event loop: each
-//! `solve_memo` call reads the pair's live battery levels at its own event
-//! time, so hoisting it into the wave would change semantics, not just
-//! scheduling.
+//! brings up on every core while staying byte-identical at any `--jobs`
+//! count (DESIGN.md §12). Plan *installation* stays inside the event loop:
+//! each `solve_memo` call reads the pair's live battery levels at its own
+//! event time, so hoisting it into the wave would change semantics, not
+//! just scheduling.
 //!
 //! # Open systems: discovery, lifecycle, churn
 //!
@@ -338,31 +345,50 @@ impl Sampler {
     }
 }
 
+/// One tile of fleet edges against victim pair `v`, whose receiver sits at
+/// `victim`: gathers each source's endpoints (`endpoints(q)`) and channel
+/// relation, then evaluates the tile in one [`EdgeKernel::carrier_tile`]
+/// call. The bring-up wave and the lazy per-pair rebuild both fill their
+/// tiles here, so every cached sum comes from one edge kernel.
+fn edge_tile(
+    edges: &EdgeKernel,
+    sc: &FleetScenario,
+    v: usize,
+    victim: Point,
+    endpoints: impl Fn(usize) -> (Point, Point),
+    qs: &[u32],
+    out: &mut [Watts],
+) {
+    let mut a = [Point::new(0.0, 0.0); EDGE_TILE];
+    let mut b = [Point::new(0.0, 0.0); EDGE_TILE];
+    let mut rel = [ChannelRelation::CoChannel; EDGE_TILE];
+    let k = qs.len();
+    for (i, &q) in qs.iter().enumerate() {
+        (a[i], b[i]) = endpoints(q as usize);
+        rel[i] = sc.arbitration.relation(v, q as usize);
+    }
+    edges.carrier_tile(victim, &a[..k], &b[..k], &rel[..k], out);
+}
+
 struct Fleet<'a> {
     sc: &'a FleetScenario,
     q: EventQueue<Ev>,
     devices: Devices,
     pairs: Pairs,
     replans: u64,
-    /// Cached pairwise interference (invalidated on death / mobility).
+    /// Cached pairwise interference (invalidated on death, liveness flips
+    /// and mobility; rebuilt in bulk at bring-up, lazily after).
     gains: PairGainCache,
     /// Quantize-and-memoized `options_under` (per-engine, so a run stays a
     /// pure function of its scenario).
     options: OptionsMemo,
-    /// The options memo has never been prefetched (first wave pending).
+    /// The bring-up wave has not run yet (see `wave_sweep`).
     wave_cold: bool,
-    /// Scratch for the wave sweep's key collection; capacity is retained
-    /// across waves so steady-state sweeps stay allocation-free.
-    wave_keys: Vec<OptionsKey>,
     /// The transcendental-starved interference edge kernel: cached
     /// dB→linear constants plus the exact FSPL memo, shared by the bulk
     /// wave sweep, the lazy dirty-sum path and the debug shadow check —
     /// the single arithmetic definition of a fleet edge.
     edges: EdgeKernel,
-    /// Scratch for the wave sweep's endpoint gather (`pos[tx[q]]`,
-    /// `pos[rx[q]]` flattened per wave); capacity retained across waves.
-    wave_a: Vec<Point>,
-    wave_b: Vec<Point>,
     /// Open-system accumulators (untouched when `sc.churn` is `None`).
     /// Session-seconds per phase, indexed by [`LinkPhase::index`].
     phase_time: [f64; PHASE_COUNT],
@@ -454,10 +480,7 @@ impl<'a> Fleet<'a> {
             gains,
             options: OptionsMemo::new(),
             wave_cold: true,
-            wave_keys: Vec::new(),
             edges: EdgeKernel::new(&sc.ch),
-            wave_a: Vec::new(),
-            wave_b: Vec::new(),
             phase_time: [0.0; PHASE_COUNT],
             departed: 0,
             died: 0,
@@ -1092,33 +1115,36 @@ impl<'a> Fleet<'a> {
         Some(report.airtime)
     }
 
-    /// The batched planning-wave sweep. Runs (cheaply) at the head of every
-    /// `install_plan`; does real work only when interference sums are stale
-    /// or the options memo has never been prefetched.
+    /// The bring-up planning wave. Runs at the head of every
+    /// `install_plan` but does work only once, on the first: at bring-up
+    /// every interference sum is cold and every pair plans at least once,
+    /// so batching pays. After that a dirty sum is read only by the next
+    /// plan of its own pair, and `interference_for` rebuilds it on demand.
     ///
     /// Three stages, all over the flat arrays in pair-index order:
-    /// 1. bulk-rebuild every stale interference sum for static live
-    ///    victims ([`PairGainCache::rebuild_all`] — the identical
-    ///    per-victim loop the lazy path runs, so not a bit moves);
-    /// 2. collect the wave's quantized `OptionsMemo` keys (static live
+    /// 1. bulk-rebuild the interference sum of every static on-air victim
+    ///    ([`PairGainCache::rebuild_all_tiled`] through the shared
+    ///    [`edge_tile`], the same per-victim loop and edge kernel the
+    ///    lazy path runs, so not a bit moves);
+    /// 2. collect the wave's quantized `OptionsMemo` keys (static on-air
     ///    pairs only — mobile pairs refresh their geometry at event time
     ///    and take the per-pair path), then sort + dedup;
     /// 3. resolve the missing keys in key order through the batched BER
     ///    surface ([`OptionsMemo::prefetch`]).
     ///
     /// Output-neutrality: memo values are canonical functions of their
-    /// quantized keys, so prefilling the memo cannot change what `get`
-    /// returns; and any death or move after the sweep re-dirties the gain
-    /// cache, forcing the per-pair path to recompute exactly what the
-    /// pre-refactor engine would have. The `soa-vs-baseline` gate holds
-    /// the engine to that byte-for-byte.
+    /// quantized keys, so prefilling the memo (or not) cannot change what
+    /// `get` returns; and a sum dirtied after bring-up is recomputed over
+    /// live sources in pair-index order when its pair next plans, exactly
+    /// what a bulk rebuild would have stored. The `soa-vs-baseline` gate
+    /// holds the engine to that byte-for-byte.
     fn wave_sweep(&mut self) {
-        let overlap = self.sc.arbitration.carriers_overlap();
-        let needs_gains = overlap && self.gains.any_dirty();
-        if !needs_gains && !self.wave_cold {
+        if !self.wave_cold {
             return;
         }
+        self.wave_cold = false;
         let _span = telemetry::span("net.wave");
+        let overlap = self.sc.arbitration.carriers_overlap();
         let sc = self.sc;
         let pos = &self.devices.pos;
         let Pairs {
@@ -1142,40 +1168,26 @@ impl<'a> Fleet<'a> {
                 !fsm[q].is_dead()
             }
         };
-        if needs_gains {
-            // Gather the wave's frozen endpoint geometry into flat arrays
-            // once (pos[tx[q]] / pos[rx[q]] indexed by pair id), so the
-            // per-tile hot loop is a contiguous gather instead of a
+        if overlap && self.gains.any_dirty() {
+            // Gather the frozen endpoint geometry into flat arrays once
+            // (pos[tx[q]] / pos[rx[q]] indexed by pair id), so the per-tile
+            // hot loop is a contiguous gather instead of a
             // double-indirection per edge.
-            self.wave_a.clear();
-            self.wave_b.clear();
-            self.wave_a.extend(tx.iter().map(|&d| pos[d]));
-            self.wave_b.extend(rx.iter().map(|&d| pos[d]));
-            let (pa, pb) = (&self.wave_a, &self.wave_b);
+            let pa: Vec<Point> = tx.iter().map(|&d| pos[d]).collect();
+            let pb: Vec<Point> = rx.iter().map(|&d| pos[d]).collect();
             let edges = &self.edges;
             self.gains.rebuild_all_tiled(
                 |v| !mobile[v] && on_air(v),
                 |q| (pa[q], pb[q]),
                 |v, qs: &[u32], out: &mut [Watts]| {
-                    let vp = pb[v];
-                    let mut a = [Point::new(0.0, 0.0); EDGE_TILE];
-                    let mut b = [Point::new(0.0, 0.0); EDGE_TILE];
-                    let mut rel = [ChannelRelation::CoChannel; EDGE_TILE];
-                    let k = qs.len();
-                    for (i, &q) in qs.iter().enumerate() {
-                        a[i] = pa[q as usize];
-                        b[i] = pb[q as usize];
-                        rel[i] = sc.arbitration.relation(v, q as usize);
-                    }
-                    edges.carrier_tile(vp, &a[..k], &b[..k], &rel[..k], out);
+                    edge_tile(edges, sc, v, pb[v], |q| (pa[q], pb[q]), qs, out);
                 },
             );
         }
-        self.wave_keys.clear();
         // Per-pair key collection fans out over the pool: each pair's key is
-        // a pure function of the frozen wave state (positions, clean sums,
-        // pins), and the chunks reassemble in pair index order — the exact
-        // key sequence the serial loop pushed.
+        // a pure function of the frozen bring-up state (positions, clean
+        // sums, pins), and the chunks reassemble in pair index order — the
+        // exact key sequence the serial loop pushed.
         let gains = &self.gains;
         let n = tx.len();
         let keys = pool::par_map_indexed_with_chunk(
@@ -1186,7 +1198,7 @@ impl<'a> Fleet<'a> {
                     return None;
                 }
                 let interference = if overlap {
-                    // Re-dirtied mid-sweep: the per-pair path covers it.
+                    // A sum the sweep skipped: the per-pair path covers it.
                     gains.cached_sum(p)?
                 } else {
                     Watts::ZERO
@@ -1195,11 +1207,10 @@ impl<'a> Fleet<'a> {
                 OptionsMemo::key_for(d, interference, pin[p])
             },
         );
-        self.wave_keys.extend(keys.into_iter().flatten());
-        self.wave_keys.sort_unstable();
-        self.wave_keys.dedup();
-        self.options.prefetch(&self.sc.ch, &self.wave_keys);
-        self.wave_cold = false;
+        let mut keys: Vec<OptionsKey> = keys.into_iter().flatten().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        self.options.prefetch(&self.sc.ch, &keys);
     }
 
     /// Probe outcome → plan installation. Returns `false` when the pair
@@ -1408,11 +1419,11 @@ impl<'a> Fleet<'a> {
     }
 
     /// Worst-case foreign-carrier power at pair `p`'s receiver, served from
-    /// the incremental cache: after the wave sweep this is a clean O(1)
-    /// lookup; a still-dirty sum (mobile pair, mid-wave invalidation)
-    /// recomputes the live edges in pair-index order, bit-identical to the
-    /// brute-force rescan (the debug-build shadow check below enforces
-    /// exactly that).
+    /// the incremental cache: a clean sum is an O(1) lookup; a dirty one
+    /// (any liveness flip, death or move since it was built) recomputes
+    /// the live edges in pair-index order through the same [`edge_tile`]
+    /// the bring-up wave uses, bit-identical to the brute-force rescan
+    /// (the debug-build shadow check below enforces exactly that).
     fn interference_for(&mut self, p: usize) -> Watts {
         if !self.sc.arbitration.carriers_overlap() {
             return Watts::ZERO;
@@ -1420,20 +1431,11 @@ impl<'a> Fleet<'a> {
         let sc = self.sc;
         let pos = &self.devices.pos;
         let (ptx, prx) = (&self.pairs.tx, &self.pairs.rx);
-        let victim = pos[prx[p]];
+        let endpoints = |q: usize| (pos[ptx[q]], pos[prx[q]]);
         let edges = &self.edges;
-        let w = self.gains.interference(
-            p,
-            |q| (pos[ptx[q]], pos[prx[q]]),
-            |q| {
-                edges.carrier_from_pair(
-                    victim,
-                    pos[ptx[q]],
-                    pos[prx[q]],
-                    sc.arbitration.relation(p, q),
-                )
-            },
-        );
+        let w = self.gains.interference(p, endpoints, |qs, out| {
+            edge_tile(edges, sc, p, pos[prx[p]], endpoints, qs, out);
+        });
         #[cfg(debug_assertions)]
         self.shadow_check(p, w);
         w
@@ -1443,12 +1445,13 @@ impl<'a> Fleet<'a> {
     /// brute-force way (full rescan, no cull, pair-index order) and check
     /// the cached answer against it — bit-equal without the cull, within
     /// `pairs × cull_epsilon` with it. Also asserts the cache's liveness
-    /// view matches the FSMs. The rescan runs through the same
-    /// [`EdgeKernel::carrier_from_pair`] the cache paths use — one
-    /// arithmetic definition of an edge — so what this checks is liveness,
-    /// ordering and cache bookkeeping; the kernel's own equality to the
-    /// direct `carrier_contribution` path is pinned by the `net::baseline`
-    /// oracle and the interference proptests.
+    /// view matches the FSMs. The rescan runs through
+    /// [`EdgeKernel::carrier_from_pair`], the scalar form of the
+    /// `carrier_tile` the cache paths use (the interference unit tests and
+    /// proptests pin every tile lane to it bit for bit), so what this
+    /// checks is liveness, ordering and cache bookkeeping; the kernel's own
+    /// equality to the direct `carrier_contribution` path is pinned by the
+    /// `net::baseline` oracle and the interference proptests.
     #[cfg(debug_assertions)]
     fn shadow_check(&self, p: usize, got: Watts) {
         let churn = self.sc.churn.is_some();

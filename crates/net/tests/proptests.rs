@@ -163,7 +163,11 @@ proptest! {
                          rel: &[u8]|
          -> Result<(), TestCaseError> {
             for v in 0..n {
-                let got = cache.interference(v, |q| eps[q], |q| edge_power(v, q, eps, rel));
+                let got = cache.interference(v, |q| eps[q], |qs, out| {
+                    for (o, &q) in out.iter_mut().zip(qs) {
+                        *o = edge_power(v, q as usize, eps, rel);
+                    }
+                });
                 let want = brute_sum(v, eps, live, rel);
                 prop_assert_eq!(
                     got.watts().to_bits(),
@@ -172,7 +176,7 @@ proptest! {
                 );
                 // And the clean-sum fast path returns the same bits
                 // without ever calling back into the physics.
-                let again = cache.interference(v, |q| eps[q], |_| panic!("sum was clean"));
+                let again = cache.interference(v, |q| eps[q], |_, _| panic!("sum was clean"));
                 prop_assert_eq!(again.watts().to_bits(), got.watts().to_bits());
             }
             Ok(())

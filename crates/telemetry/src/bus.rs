@@ -166,7 +166,9 @@ fn emit_slow(event: Event) {
 /// * `net.arbitration.deferred` — TDMA window skips.
 /// * `net.interference.sum_reuse` / `sum_rebuild` / `edge_recompute` /
 ///   `cull_drop` — the incremental interference cache's hit/rebuild/edge
-///   economics and far-field cull decisions (`braidio-net::cache`).
+///   economics and far-field cull decisions (`braidio-net::cache`);
+///   `wave_edge_recompute` is the share of `edge_recompute` evaluated
+///   inside a bulk `rebuild_all_tiled` pass.
 /// * `net.options.memo_hit` / `memo_miss` — the quantized
 ///   `options_under` memo.
 /// * `net.fspl.hit` / `net.fspl.miss` — the exact free-space-path-loss
