@@ -6,8 +6,8 @@
 //! original path (a fresh O(M) source scan per victim — O(M²) per wave,
 //! plus a full `options_under` evaluation per pair); the cached arms run
 //! the production path (`PairGainCache` steady-state sums, `OptionsMemo`
-//! hits); the batched arms run the SoA wave path (`rebuild_all_tiled` bulk
-//! sweeps, `options_under_batch`, key-sorted `prefetch`). All compute
+//! hits); the batched arms run the bulk paths (`rebuild_all_tiled`
+//! sweeps, `options_under_batch`). All compute
 //! bit-identical answers — the determinism suite and
 //! the debug-build shadow check enforce that — so the arms measure the
 //! same computation. The EXPERIMENTS.md large-fleet table quotes the
@@ -17,7 +17,7 @@ use braidio_mac::coexistence::ChannelRelation;
 use braidio_net::cache::PairGainCache;
 use braidio_net::interference::{
     carrier_contribution, interference_at, options_under, options_under_batch, CarrierSource,
-    EdgeKernel, OptionsKey, OptionsMemo, EDGE_TILE,
+    EdgeKernel, OptionsMemo, EDGE_TILE,
 };
 use braidio_net::{run_fleet, Arbitration, FleetScenario};
 use braidio_radio::Mode;
@@ -229,10 +229,9 @@ fn bench_options(c: &mut Criterion) {
     c.bench_function("fleet_replan/options/memoized", |b| {
         b.iter(|| black_box(memo.get(&sc.ch, d, interference, None)))
     });
-    // The batched wave path: one quantized key per pair (a spread of
-    // distances / interference levels / pins, as a heterogeneous fleet
-    // produces), deduped, resolved in key order through the batched BER
-    // surface.
+    // The batched path: one query per pair (a spread of distances /
+    // interference levels / pins, as a heterogeneous fleet produces),
+    // resolved through the batched BER surface.
     let items: Vec<(Meters, Watts, Option<Mode>)> = (0..PAIRS)
         .map(|i| {
             (
@@ -248,17 +247,6 @@ fn bench_options(c: &mut Criterion) {
         .collect();
     c.bench_function("fleet_replan/options/batch_cold/64", |b| {
         b.iter(|| black_box(options_under_batch(&sc.ch, &items)))
-    });
-    let mut keys: Vec<OptionsKey> = items
-        .iter()
-        .filter_map(|&(d, i, pin)| OptionsMemo::key_for(d, i, pin))
-        .collect();
-    keys.sort_unstable();
-    keys.dedup();
-    let mut warm = OptionsMemo::new();
-    warm.prefetch(&sc.ch, &keys);
-    c.bench_function("fleet_replan/options/prefetch_warm/64", |b| {
-        b.iter(|| warm.prefetch(&sc.ch, black_box(&keys)))
     });
 }
 

@@ -154,7 +154,7 @@ pub fn analyze(jsonl: &str, opts: &AnalyzeOptions) -> Result<Analysis, String> {
         let run: u32 = sink::parse_field(line, "run")?.parse().ok()?;
         let unit: u32 = sink::parse_field(line, "unit")?.parse().ok()?;
         let track = sink::parse_field(line, "track")?.to_string();
-        let t: f64 = sink::parse_field(line, "t")?.parse().ok()?;
+        let t = sink::parse_seconds(line, "t")?;
         let ev = sink::parse_field(line, "ev")?.to_string();
         Some((run, unit, track, t, ev))
     };
@@ -182,7 +182,7 @@ pub fn analyze(jsonl: &str, opts: &AnalyzeOptions) -> Result<Analysis, String> {
             // arrival is the *first* admission minus its latency.
             "admitted" if s.admitted_at.is_none() => {
                 s.admitted_at = Some(t);
-                s.latency = sink::parse_field(line, "latency").and_then(|v| v.parse().ok());
+                s.latency = sink::parse_seconds(line, "latency");
             }
             "phase_change" => {
                 let (from, to) = (

@@ -85,6 +85,47 @@ fn stuck_threshold_flags_the_long_probe() {
         .ends_with("anomalies: 1\n  - session (0,0,p0) stuck 1s in \"probe\" (threshold 0.75s)\n"));
 }
 
+/// A three-line trace whose second phase change carries `t` (and whose
+/// admission carries `latency`) verbatim.
+fn damaged(t: &str, latency: &str) -> String {
+    format!(
+        "{{\"schema\":1,\"stream\":\"braidio-telemetry\",\"time\":\"simulated-seconds\"}}\n\
+         {{\"run\":0,\"unit\":0,\"track\":\"p0\",\"t\":0.5,\"ev\":\"admitted\",\"latency\":{latency}}}\n\
+         {{\"run\":0,\"unit\":0,\"track\":\"p0\",\"t\":0.5,\"ev\":\"phase_change\",\"from\":\"init\",\"to\":\"probe\"}}\n\
+         {{\"run\":0,\"unit\":0,\"track\":\"p0\",\"t\":{t},\"ev\":\"phase_change\",\"from\":\"probe\",\"to\":\"warm\"}}\n"
+    )
+}
+
+#[test]
+fn bad_timestamps_are_anomalies_not_panics() {
+    // An infinite time once reached the dwell histograms and aborted the
+    // analyzer; every value the validator rejects must come back as an
+    // anomaly instead.
+    for t in ["inf", "1e999", "NaN", "-1"] {
+        let a = analyze(&damaged(t, "0.5"), &AnalyzeOptions::default())
+            .unwrap_or_else(|e| panic!("t={t}: {e}"));
+        assert_eq!(
+            a.anomalies,
+            vec!["line 4: missing/bad \"t\"".to_string()],
+            "t={t}"
+        );
+        assert_eq!(a.trace_end, 0.5, "t={t}");
+    }
+}
+
+#[test]
+fn bad_latency_is_an_anomaly_not_a_panic() {
+    for latency in ["inf", "1e999", "NaN", "-1"] {
+        let a = analyze(&damaged("1.5", latency), &AnalyzeOptions::default())
+            .unwrap_or_else(|e| panic!("latency={latency}: {e}"));
+        assert_eq!(
+            a.anomalies,
+            vec!["line 2: missing/bad \"latency\"".to_string()],
+            "latency={latency}"
+        );
+    }
+}
+
 /// A random small open system, mirroring the churn determinism suite.
 fn arb_open_system() -> impl Strategy<Value = FleetScenario> {
     (1usize..=3, 4usize..=24, 0u32..3, any::<u64>()).prop_map(|(hubs, sessions, arb_sel, seed)| {

@@ -15,9 +15,10 @@
 //!    bookkeeping whose page-fault traffic dwarfed the transcendental work
 //!    it saved. The matrix-free layout is bit-identical because replaying
 //!    a cached pure value and recomputing it are the same bits.)
-//! 2. **Sums change rarely.** A victim's total only moves on pair death,
-//!    an arbitration relation change, or a mobile pair's position refresh.
-//!    Between those events the cached sum is returned untouched.
+//! 2. **Sums change rarely.** A victim's total only moves on a liveness
+//!    flip (admission, cooldown, death), an arbitration relation change, or
+//!    a mobile pair's position refresh. Between those events the cached sum
+//!    is returned untouched.
 //!
 //! **Bitwise contract.** A dirty sum is *recomputed over live sources in
 //! pair-index order* — never maintained by running add/subtract — so it is
@@ -29,10 +30,11 @@
 //! **Two ways to rebuild, one loop.** A dirty sum is rebuilt either on
 //! demand, by [`PairGainCache::interference`] for the one victim that asks,
 //! or in bulk, by [`PairGainCache::rebuild_all_tiled`] for every dirty
-//! victim a filter selects. The fleet engine uses the bulk pass once, at
-//! bring-up, when every sum is cold and every pair is about to plan; after
-//! that an invalidated sum is read only by the next plan of its own pair,
-//! so it is rebuilt lazily (DESIGN.md §12). The bulk pass fans the selected
+//! victim a filter selects. The fleet engine runs the bulk pass once,
+//! before its first event, over the static pairs the cache holds live:
+//! every sum is cold then and every pair is about to plan. After that an
+//! invalidated sum is read only by the next plan of its own pair, so it is
+//! rebuilt lazily (DESIGN.md §12). The bulk pass fans the selected
 //! victims out over the `braidio-pool` workers (each sum is an independent
 //! pure function of the frozen geometry, merged back in victim index
 //! order), so bring-up scales across cores without changing a bit.
@@ -133,16 +135,14 @@ struct Cull {
 ///
 /// Flat arrays indexed by pair id: `sum[victim]` holds the victim's total
 /// worst-case foreign-carrier power, with a dirty flag per victim and a
-/// fleet-wide `any_dirty` hint for the wave sweep. Callers supply the edge
-/// physics as a closure — the cache is pure bookkeeping and owns no
+/// fleet-wide dirty count ([`ndirty`](Self::ndirty)). Callers supply the
+/// edge physics as a closure — the cache is pure bookkeeping and owns no
 /// positions, which keeps invalidation rules explicit:
 ///
-/// * [`mark_dead`](Self::mark_dead) — a pair's session died: it leaves
-///   every victim's sum (dead pairs never come back).
-/// * [`set_live`](Self::set_live) — open-system row activation/retirement:
-///   an admitted session joins the sums, a quiesced (Cooldown) one leaves
-///   them, and either flip may later be reversed. Unlike `mark_dead` this
-///   is two-way; like it, any flip dirties every sum.
+/// * [`set_live`](Self::set_live) — a pair joins or leaves every victim's
+///   sum: an open-system session is admitted, or quiesces into Cooldown,
+///   or any session dies (a dead pair is simply never made live again).
+///   Any flip dirties every sum; a matching call is a no-op.
 /// * [`invalidate_pair`](Self::invalidate_pair) — a pair's geometry or
 ///   channel relation changed: every sum that might include it is dirty.
 ///
@@ -154,7 +154,7 @@ pub struct PairGainCache {
     sum: Vec<f64>,
     sum_dirty: Vec<bool>,
     live: Vec<bool>,
-    /// How many entries of `sum_dirty` are set — the O(1) `any_dirty` hint.
+    /// How many entries of `sum_dirty` are set.
     ndirty: usize,
     cull: Option<Cull>,
 }
@@ -189,36 +189,16 @@ impl PairGainCache {
         self.live[q]
     }
 
-    /// Does any victim's sum need a rebuild? The engine's bring-up wave
-    /// polls this to decide whether a bulk
-    /// [`rebuild_all_tiled`](Self::rebuild_all_tiled) pass has anything
-    /// to do.
-    pub fn any_dirty(&self) -> bool {
-        self.ndirty > 0
-    }
-
     /// How many victims' sums currently need a rebuild. A fleet-wide gauge
     /// for the time-series sampler: high `ndirty` means mobility or churn
-    /// has been invalidating faster than waves rebuild.
+    /// has been invalidating faster than plans read the sums back.
     pub fn ndirty(&self) -> usize {
         self.ndirty
     }
 
-    /// Pair `q`'s session died: drop it from every victim's sum.
-    pub fn mark_dead(&mut self, q: usize) {
-        if !self.live[q] {
-            return;
-        }
-        self.live[q] = false;
-        for d in self.sum_dirty.iter_mut() {
-            *d = true;
-        }
-        self.ndirty = self.n;
-    }
-
-    /// Open-system row activation/retirement: make pair `q` contribute to
-    /// (or leave) every victim's sum. A no-op when the liveness bit already
-    /// matches — so closed scenarios, which never flip, pay nothing.
+    /// Make pair `q` contribute to (or leave) every victim's sum: an
+    /// admission, a cooldown, or a death. A no-op when the liveness bit
+    /// already matches — so a closed scenario pays only for its deaths.
     pub fn set_live(&mut self, q: usize, live: bool) {
         if self.live[q] == live {
             return;
@@ -242,10 +222,10 @@ impl PairGainCache {
         }
     }
 
-    /// The victim's sum, only if it is clean. The wave sweep reads freshly
-    /// bulk-rebuilt sums through this without touching the dirty flags; a
-    /// `None` (victim skipped or re-dirtied mid-sweep) means the value must
-    /// come from the lazy [`interference`](Self::interference) path.
+    /// The victim's sum, only if it is clean, without touching the dirty
+    /// flags (for benchmarks and tests reading back a bulk pass); a `None`
+    /// (victim skipped or re-dirtied) means the value must come from the
+    /// lazy [`interference`](Self::interference) path.
     pub fn cached_sum(&self, victim: usize) -> Option<Watts> {
         (!self.sum_dirty[victim]).then(|| Watts::new(self.sum[victim]))
     }
@@ -575,11 +555,11 @@ mod tests {
         for v in 0..6 {
             cache.interference(v, |q| eps[q], lanes(edge_fn(&eps, v)));
         }
-        assert!(!cache.any_dirty(), "warm cache should be clean");
+        assert_eq!(cache.ndirty(), 0, "warm cache should be clean");
         // Kill pair 2.
         live[2] = false;
-        cache.mark_dead(2);
-        assert!(cache.any_dirty());
+        cache.set_live(2, false);
+        assert!(cache.ndirty() > 0);
         for v in 0..6 {
             let got = cache.interference(v, |q| eps[q], lanes(edge_fn(&eps, v)));
             assert_eq!(
@@ -600,7 +580,7 @@ mod tests {
     }
 
     #[test]
-    fn set_live_is_a_reversible_mark_dead() {
+    fn set_live_flips_track_brute_force_both_ways() {
         let eps = layout(5, 2.0);
         let mut live = vec![true; 5];
         let mut cache = PairGainCache::new(5);
@@ -619,7 +599,7 @@ mod tests {
         // Admission re-activates row 3; sums must match brute force again.
         live[3] = true;
         cache.set_live(3, true);
-        assert!(cache.any_dirty());
+        assert!(cache.ndirty() > 0);
         for v in 0..5 {
             let got = cache.interference(v, |q| eps[q], lanes(edge_fn(&eps, v)));
             assert_eq!(
@@ -629,7 +609,7 @@ mod tests {
         }
         // Matching flip is a no-op: nothing re-dirtied.
         cache.set_live(3, true);
-        assert!(!cache.any_dirty());
+        assert_eq!(cache.ndirty(), 0);
     }
 
     #[test]
@@ -641,17 +621,17 @@ mod tests {
         let mut bulk = PairGainCache::new(11);
         let mut lazy = PairGainCache::new(11);
         bulk.rebuild_all_tiled(|_| true, |q| eps[q], bulk_tile(&eps));
-        assert!(!bulk.any_dirty());
+        assert_eq!(bulk.ndirty(), 0);
         for v in 0..11 {
             let a = bulk.interference(v, |q| eps[q], |_, _| panic!("bulk sum was clean"));
             let b = lazy.interference(v, |q| eps[q], lanes(edge_fn(&eps, v)));
             assert_eq!(a.watts().to_bits(), b.watts().to_bits(), "victim {v}");
         }
         // A filtered bulk pass leaves the skipped victim dirty (and says so).
-        bulk.mark_dead(3);
-        lazy.mark_dead(3);
+        bulk.set_live(3, false);
+        lazy.set_live(3, false);
         bulk.rebuild_all_tiled(|v| v != 7, |q| eps[q], bulk_tile(&eps));
-        assert!(bulk.any_dirty(), "skipped victim must keep the hint set");
+        assert_eq!(bulk.ndirty(), 1, "skipped victim must stay dirty");
         let a = bulk.interference(7, |q| eps[q], lanes(edge_fn(&eps, 7)));
         let b = lazy.interference(7, |q| eps[q], lanes(edge_fn(&eps, 7)));
         assert_eq!(a.watts().to_bits(), b.watts().to_bits());

@@ -32,35 +32,28 @@
 //!
 //! # Batched planning waves
 //!
-//! Bring-up — the burst of `install_plan` calls as the first pairs come
-//! up — is executed as one batched sweep (`Fleet::wave_sweep`): first the
-//! [`PairGainCache`] bulk-rebuilds every cold interference sum over the
-//! flat arrays in pair-index order, then the quantized [`OptionsMemo`]
-//! keys are collected, sorted and deduplicated, and the misses are
-//! resolved in key order through the batched BER surface
-//! (`phy::surface::BerSurface::ber_batch`) — one lock acquisition per
-//! (mode, rate) group for the whole sweep.
+//! Before the first event, `run_sampled` calls `Fleet::wave_sweep` once:
+//! the [`PairGainCache`] bulk-rebuilds the interference sum of every static
+//! pair it holds live, over the flat arrays in pair-index order. At that
+//! instant every sum is cold and every pair is about to plan, so batching
+//! pays. Later, a death, a liveness flip or a move dirties every sum, but a
+//! dirty sum is read only by the next plan of its own pair, and the next
+//! flip usually dirties it again first (DESIGN.md §12 has the measurement).
+//! So after bring-up `interference_for` rebuilds a dirty sum on demand,
+//! for the pair that plans. Option sets have one path: every plan resolves
+//! its set through [`OptionsMemo::get`], whose values are canonical
+//! functions of their quantized keys. This is output-neutral by
+//! construction: the bulk and lazy rebuilds run the identical per-victim
+//! accumulation loop through the same tile kernel (`edge_tile`), so every
+//! sum has the same bits whichever path built it.
 //!
-//! That wave runs once. At bring-up every sum is cold and every pair plans
-//! at least once, so batching pays. Later, a death, a liveness flip or a
-//! move dirties every sum, but a dirty sum is read only by the next plan
-//! of its own pair, and the next flip usually dirties it again first
-//! (DESIGN.md §12 has the measurement). So after bring-up
-//! `interference_for` rebuilds a dirty sum on demand, for the pair that
-//! plans, and the memo resolves misses one key at a time. This is output-neutral by construction: memo values are
-//! canonical functions of their quantized keys, and the bulk and lazy
-//! rebuilds run the identical per-victim accumulation loop through the
-//! same tile kernel (`edge_tile`), so every sum has the same bits
-//! whichever path built it.
-//!
-//! The wave's heavy stages — the per-victim interference sums and the
-//! per-pair key collection — fan out over the `braidio-pool` workers with
-//! index-chunked scheduling and in-order merges, so a single large scenario
-//! brings up on every core while staying byte-identical at any `--jobs`
-//! count (DESIGN.md §12). Plan *installation* stays inside the event loop:
-//! each `solve_memo` call reads the pair's live battery levels at its own
-//! event time, so hoisting it into the wave would change semantics, not
-//! just scheduling.
+//! The bulk rebuild fans its victims out over the `braidio-pool` workers
+//! with index-chunked scheduling and in-order merges, so a single large
+//! scenario brings up on every core while staying byte-identical at any
+//! `--jobs` count (DESIGN.md §12). Plan *installation* stays inside the
+//! event loop: each `solve_memo` call reads the pair's live battery levels
+//! at its own event time, so hoisting it into the wave would change
+//! semantics, not just scheduling.
 //!
 //! # Open systems: discovery, lifecycle, churn
 //!
@@ -87,7 +80,7 @@
 
 use crate::arbitration::Arbitration;
 use crate::cache::{far_field_cutoff, PairGainCache};
-use crate::interference::{EdgeKernel, OptionsKey, OptionsMemo, EDGE_TILE};
+use crate::interference::{EdgeKernel, OptionsMemo, EDGE_TILE};
 use crate::kernel::EventQueue;
 use crate::lifecycle::{self, LinkPhase, PhaseEvent, PHASE_COUNT};
 use crate::metrics::{ChurnReport, FleetReport};
@@ -98,7 +91,6 @@ use braidio_mac::mobility::MobilityTrace;
 use braidio_mac::offload::{solve_memo, OffloadPlan};
 use braidio_mac::probe::LinkProber;
 use braidio_mac::sim::switches_per_packet;
-use braidio_pool as pool;
 use braidio_radio::characterization::Rate;
 use braidio_radio::{Battery, Mode, Role};
 use braidio_rfsim::geometry::Point;
@@ -377,13 +369,11 @@ struct Fleet<'a> {
     pairs: Pairs,
     replans: u64,
     /// Cached pairwise interference (invalidated on death, liveness flips
-    /// and mobility; rebuilt in bulk at bring-up, lazily after).
+    /// and mobility; rebuilt in bulk before the first event, lazily after).
     gains: PairGainCache,
     /// Quantize-and-memoized `options_under` (per-engine, so a run stays a
     /// pure function of its scenario).
     options: OptionsMemo,
-    /// The bring-up wave has not run yet (see `wave_sweep`).
-    wave_cold: bool,
     /// The transcendental-starved interference edge kernel: cached
     /// dB→linear constants plus the exact FSPL memo, shared by the bulk
     /// wave sweep, the lazy dirty-sum path and the debug shadow check —
@@ -479,7 +469,6 @@ impl<'a> Fleet<'a> {
             replans: 0,
             gains,
             options: OptionsMemo::new(),
-            wave_cold: true,
             edges: EdgeKernel::new(&sc.ch),
             phase_time: [0.0; PHASE_COUNT],
             departed: 0,
@@ -548,6 +537,7 @@ impl<'a> Fleet<'a> {
                 );
             }
         }
+        self.wave_sweep();
         let mut last = Seconds::ZERO;
         let mut truncated = false;
         while let Some(ev) = self.q.pop() {
@@ -1115,108 +1105,53 @@ impl<'a> Fleet<'a> {
         Some(report.airtime)
     }
 
-    /// The bring-up planning wave. Runs at the head of every
-    /// `install_plan` but does work only once, on the first: at bring-up
-    /// every interference sum is cold and every pair plans at least once,
-    /// so batching pays. After that a dirty sum is read only by the next
-    /// plan of its own pair, and `interference_for` rebuilds it on demand.
+    /// The bring-up wave: called once by `run_sampled`, before the first
+    /// event. Every interference sum is cold then and every pair is about
+    /// to plan, so it bulk-rebuilds the sum of every static victim the
+    /// cache holds live ([`PairGainCache::rebuild_all_tiled`] through the
+    /// shared [`edge_tile`] — the same per-victim loop and edge kernel the
+    /// lazy path runs, so not a bit moves). Mobile pairs refresh their
+    /// geometry at event time and are left to `interference_for`. A closed
+    /// scenario has every pair live at t = 0; an open system has nobody on
+    /// air yet, so its wave builds nothing. The span opens under every
+    /// policy, so each run reports exactly one `net.wave`.
     ///
-    /// Three stages, all over the flat arrays in pair-index order:
-    /// 1. bulk-rebuild the interference sum of every static on-air victim
-    ///    ([`PairGainCache::rebuild_all_tiled`] through the shared
-    ///    [`edge_tile`], the same per-victim loop and edge kernel the
-    ///    lazy path runs, so not a bit moves);
-    /// 2. collect the wave's quantized `OptionsMemo` keys (static on-air
-    ///    pairs only — mobile pairs refresh their geometry at event time
-    ///    and take the per-pair path), then sort + dedup;
-    /// 3. resolve the missing keys in key order through the batched BER
-    ///    surface ([`OptionsMemo::prefetch`]).
-    ///
-    /// Output-neutrality: memo values are canonical functions of their
-    /// quantized keys, so prefilling the memo (or not) cannot change what
-    /// `get` returns; and a sum dirtied after bring-up is recomputed over
+    /// Output-neutrality: a sum dirtied after bring-up is recomputed over
     /// live sources in pair-index order when its pair next plans, exactly
     /// what a bulk rebuild would have stored. The `soa-vs-baseline` gate
     /// holds the engine to that byte-for-byte.
     fn wave_sweep(&mut self) {
-        if !self.wave_cold {
+        let _span = telemetry::span("net.wave");
+        if !self.sc.arbitration.carriers_overlap() {
             return;
         }
-        self.wave_cold = false;
-        let _span = telemetry::span("net.wave");
-        let overlap = self.sc.arbitration.carriers_overlap();
         let sc = self.sc;
         let pos = &self.devices.pos;
-        let Pairs {
-            tx,
-            rx,
-            pin,
-            fsm,
-            mobile,
-            phase,
-            ..
-        } = &self.pairs;
-        // Which pairs are on the air: open systems follow the lifecycle
-        // phase (Init/Cooldown rows are radio-silent), closed scenarios the
-        // binary FSM liveness — the exact predicate the gain cache's live
-        // set mirrors.
-        let churn = sc.churn.is_some();
-        let on_air = |q: usize| {
-            if churn {
-                phase[q].on_air()
-            } else {
-                !fsm[q].is_dead()
-            }
-        };
-        if overlap && self.gains.any_dirty() {
-            // Gather the frozen endpoint geometry into flat arrays once
-            // (pos[tx[q]] / pos[rx[q]] indexed by pair id), so the per-tile
-            // hot loop is a contiguous gather instead of a
-            // double-indirection per edge.
-            let pa: Vec<Point> = tx.iter().map(|&d| pos[d]).collect();
-            let pb: Vec<Point> = rx.iter().map(|&d| pos[d]).collect();
-            let edges = &self.edges;
-            self.gains.rebuild_all_tiled(
-                |v| !mobile[v] && on_air(v),
-                |q| (pa[q], pb[q]),
-                |v, qs: &[u32], out: &mut [Watts]| {
-                    edge_tile(edges, sc, v, pb[v], |q| (pa[q], pb[q]), qs, out);
-                },
-            );
-        }
-        // Per-pair key collection fans out over the pool: each pair's key is
-        // a pure function of the frozen bring-up state (positions, clean
-        // sums, pins), and the chunks reassemble in pair index order — the
-        // exact key sequence the serial loop pushed.
-        let gains = &self.gains;
-        let n = tx.len();
-        let keys = pool::par_map_indexed_with_chunk(
-            n,
-            pool::default_chunk(n),
-            |p| -> Option<OptionsKey> {
-                if !on_air(p) || mobile[p] {
-                    return None;
-                }
-                let interference = if overlap {
-                    // A sum the sweep skipped: the per-pair path covers it.
-                    gains.cached_sum(p)?
-                } else {
-                    Watts::ZERO
-                };
-                let d = pos[tx[p]].distance(pos[rx[p]]);
-                OptionsMemo::key_for(d, interference, pin[p])
+        let Pairs { tx, rx, mobile, .. } = &self.pairs;
+        let keep: Vec<bool> = (0..tx.len())
+            .map(|v| !mobile[v] && self.gains.is_live(v))
+            .collect();
+        // Gather the frozen endpoint geometry into flat arrays once
+        // (pos[tx[q]] / pos[rx[q]] indexed by pair id), so the per-tile hot
+        // loop is a contiguous gather instead of a double-indirection per
+        // edge.
+        let pa: Vec<Point> = tx.iter().map(|&d| pos[d]).collect();
+        let pb: Vec<Point> = rx.iter().map(|&d| pos[d]).collect();
+        let edges = &self.edges;
+        self.gains.rebuild_all_tiled(
+            |v| keep[v],
+            |q| (pa[q], pb[q]),
+            |v, qs: &[u32], out: &mut [Watts]| {
+                edge_tile(edges, sc, v, pb[v], |q| (pa[q], pb[q]), qs, out);
             },
         );
-        let mut keys: Vec<OptionsKey> = keys.into_iter().flatten().collect();
-        keys.sort_unstable();
-        keys.dedup();
-        self.options.prefetch(&self.sc.ch, &keys);
     }
 
-    /// Probe outcome → plan installation. Returns `false` when the pair
-    /// died (no viable mode).
+    /// Probe outcome → plan installation: the pair's interference sum
+    /// comes from `interference_for` and its option set from
+    /// [`OptionsMemo::get`], the one way an option set is resolved. Returns
+    /// `false` when the pair died (no viable mode).
     fn install_plan(&mut self, p: usize, now: Seconds) -> bool {
-        self.wave_sweep();
         let d = self.pair_distance(p, now);
         let interference = self.interference_for(p);
         // The pin goes *into* the option search (non-pinned modes are never
@@ -1245,7 +1180,7 @@ impl<'a> Fleet<'a> {
                 .on(FsmEvent::ProbesEmpty)
                 .expect("Probing accepts ProbesEmpty");
             self.pairs.dead_at[p] = Some(now);
-            self.gains.mark_dead(p);
+            self.gains.set_live(p, false);
             telemetry::emit(telemetry::Event::SessionDead {
                 at: now,
                 track: telemetry::Track::Pair(p as u32),
@@ -1419,11 +1354,12 @@ impl<'a> Fleet<'a> {
     }
 
     /// Worst-case foreign-carrier power at pair `p`'s receiver, served from
-    /// the incremental cache: a clean sum is an O(1) lookup; a dirty one
-    /// (any liveness flip, death or move since it was built) recomputes
-    /// the live edges in pair-index order through the same [`edge_tile`]
-    /// the bring-up wave uses, bit-identical to the brute-force rescan
-    /// (the debug-build shadow check below enforces exactly that).
+    /// the incremental cache: a clean sum — every static live sum right
+    /// after the bring-up wave — is an O(1) lookup; a dirty one (mobile, or
+    /// any liveness flip, death or move since it was built) recomputes the
+    /// live edges in pair-index order through the same [`edge_tile`] the
+    /// bring-up wave uses, bit-identical to the brute-force rescan (the
+    /// debug-build shadow check below enforces exactly that).
     fn interference_for(&mut self, p: usize) -> Watts {
         if !self.sc.arbitration.carriers_overlap() {
             return Watts::ZERO;
@@ -1533,11 +1469,7 @@ impl<'a> Fleet<'a> {
     /// callers always pass `BatteryDead` (bit-identical to the
     /// pre-lifecycle engine, whose only kill reason that was).
     fn kill(&mut self, p: usize, now: Seconds, reason: telemetry::DeathReason) {
-        if self.sc.churn.is_some() {
-            self.gains.set_live(p, false);
-        } else {
-            self.gains.mark_dead(p);
-        }
+        self.gains.set_live(p, false);
         if !self.pairs.fsm[p].is_dead() {
             self.pairs.fsm[p]
                 .on(FsmEvent::BatteryDead)

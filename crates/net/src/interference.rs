@@ -303,10 +303,8 @@ const OPTIONS_MEMO_CAP: usize = 65536;
 /// A quantized `(distance, interference, pin)` memo key: `(qd, qi, qpin)`
 /// with both axes on the `LN_QUANT` log grid, `qi == i64::MIN` the
 /// exact-zero interference sentinel, and `qpin` the pinned mode's
-/// discriminant plus one (0 = unpinned). The engine's planning-wave sweep
-/// collects these per pair, deduplicates, and hands them to
-/// [`OptionsMemo::prefetch`].
-pub type OptionsKey = (i64, i64, u8);
+/// discriminant plus one (0 = unpinned).
+type OptionsKey = (i64, i64, u8);
 
 /// Quantize-and-memoize [`options_under_pinned`] on
 /// `(distance, interference, pin)` — the `solve_memo` trick applied one
@@ -316,12 +314,17 @@ pub type OptionsKey = (i64, i64, u8);
 /// ~2.3e-10 of a BER threshold; the byte-identity CI gates would catch such
 /// a flip. Zero interference is kept as an exact sentinel (never
 /// quantized) because `available_under` short-circuits on it.
+///
+/// [`get`](Self::get) is the only way in: the fleet engine resolves every
+/// option set through it, one key at a time, and a miss runs
+/// [`options_under_pinned`] on the decoded key.
 #[derive(Debug, Default)]
 pub struct OptionsMemo {
-    cache: std::collections::HashMap<(i64, i64, u8), OptionSet>,
-    /// Lookups that were served from the cache (single-key and batch).
+    cache: std::collections::HashMap<OptionsKey, OptionSet>,
+    /// Lookups that were served from the cache.
     hits: u64,
-    /// Total lookups (single-key and batch), hit or miss.
+    /// Total lookups, hit or miss (degenerate-geometry calls that bypass
+    /// the memo are not counted).
     lookups: u64,
 }
 
@@ -331,10 +334,10 @@ impl OptionsMemo {
         Self::default()
     }
 
-    /// Fraction of lookups served from the cache so far, `0.0` before the
-    /// first lookup. Per-instance (unlike the global telemetry counters),
-    /// so the time-series sampler can gauge one scenario's memo without
-    /// cross-scenario bleed.
+    /// Fraction of [`get`](Self::get) lookups served from the cache so far,
+    /// `0.0` before the first lookup. Per-instance (unlike the global
+    /// telemetry counters), so the time-series sampler can gauge one
+    /// scenario's memo without cross-scenario bleed.
     pub fn hit_rate(&self) -> f64 {
         if self.lookups == 0 {
             0.0
@@ -345,9 +348,8 @@ impl OptionsMemo {
 
     /// The memo key for `(distance, interference, pin)`, or `None` when the
     /// inputs do not quantize (degenerate geometry such as coincident
-    /// endpoints) — those queries fall through to the exact computation and
-    /// are skipped by the wave prefetch.
-    pub fn key_for(d: Meters, interference: Watts, pin: Option<Mode>) -> Option<OptionsKey> {
+    /// endpoints) — those queries fall through to the exact computation.
+    fn key_for(d: Meters, interference: Watts, pin: Option<Mode>) -> Option<OptionsKey> {
         let ld = d.meters().ln();
         let zero_i = interference.watts() <= 0.0;
         let li = if zero_i {
@@ -369,9 +371,8 @@ impl OptionsMemo {
     }
 
     /// The canonical (quantized) inputs a key stands for — exactly the
-    /// values the memoized evaluation runs on, so resolving a key through
-    /// [`options_under_batch`] and through a [`get`](Self::get) miss cannot
-    /// differ by a bit.
+    /// values a [`get`](Self::get) miss evaluates, so the cached set is a
+    /// pure function of the key.
     fn decode_key(key: OptionsKey) -> (Meters, Watts, Option<Mode>) {
         let (qd, qi, qpin) = key;
         let d = Meters::new((qd as f64 / LN_QUANT).exp());
@@ -418,47 +419,6 @@ impl OptionsMemo {
         braidio_telemetry::count("net.options.memo_miss");
         set
     }
-
-    /// Resolve a planning wave's worth of keys in one sweep. Keys already
-    /// memoized count as batch hits; the misses are resolved **in the order
-    /// given** through [`options_under_batch`] (one shared-surface lock
-    /// acquisition for the whole miss set) and inserted under the same
-    /// cap-clear policy as [`get`](Self::get). Callers pass the wave's keys
-    /// sorted and deduplicated, so the memo's evolution — and therefore
-    /// every value it ever returns — is a pure function of the key set, not
-    /// of which pair happened to plan first.
-    ///
-    /// Parallelism: the miss set's per-key evaluation fans out inside
-    /// [`options_under_batch`] (its γ-collection pass is chunked over the
-    /// pool; the shared BER surface is filled canonically, in key order, by
-    /// the serial pass that follows), while the hit scan and the insertions
-    /// here stay serial — so the memo's contents are byte-identical at any
-    /// thread count.
-    pub fn prefetch(&mut self, ch: &Characterization, keys: &[OptionsKey]) {
-        let mut misses: Vec<OptionsKey> = Vec::new();
-        self.lookups += keys.len() as u64;
-        for key in keys {
-            if self.cache.contains_key(key) {
-                self.hits += 1;
-                braidio_telemetry::count("net.options.batch_hit");
-            } else {
-                misses.push(*key);
-            }
-        }
-        if misses.is_empty() {
-            return;
-        }
-        let items: Vec<(Meters, Watts, Option<Mode>)> =
-            misses.iter().map(|&k| Self::decode_key(k)).collect();
-        let sets = options_under_batch(ch, &items);
-        for (key, set) in misses.into_iter().zip(sets) {
-            braidio_telemetry::count("net.options.batch_miss");
-            if self.cache.len() >= OPTIONS_MEMO_CAP {
-                self.cache.clear();
-            }
-            self.cache.insert(key, set);
-        }
-    }
 }
 
 /// Batched [`options_under_pinned`]: one `OptionSet` per input triple,
@@ -476,6 +436,12 @@ impl OptionsMemo {
 /// scalar `max_rate_under` short-circuits at the first available one — the
 /// extra evaluations are pure and discarded, and the chosen (mode, rate)
 /// set is identical.
+///
+/// The fleet engine does not call this: it resolves option sets one at a
+/// time through [`OptionsMemo::get`]. The remaining callers are the
+/// fleetbench replay (which checks it bit for bit against
+/// [`options_under`]), the `fleet_replan/options/batch_cold/64` criterion
+/// arm, and the tests.
 ///
 /// [`BerSurface`]: braidio_phy::surface::BerSurface
 pub fn options_under_batch(
@@ -709,37 +675,6 @@ mod tests {
                 &**set, &*scalar,
                 "batch diverged at d={d}, i={i}, pin={pin:?}"
             );
-        }
-    }
-
-    #[test]
-    fn prefetch_is_invisible_to_get() {
-        // A memo warmed by the wave prefetch must answer `get` with exactly
-        // the sets a cold memo computes — prefilling is output-neutral.
-        let ch = ch();
-        let queries: Vec<(Meters, Watts, Option<Mode>)> = vec![
-            (Meters::new(0.5), Watts::ZERO, None),
-            (Meters::new(1.5), Watts::from_dbm(-80.0), None),
-            (
-                Meters::new(2.5),
-                Watts::from_dbm(-60.0),
-                Some(Mode::Backscatter),
-            ),
-            (Meters::new(4.0), Watts::from_dbm(-95.0), Some(Mode::Active)),
-        ];
-        let mut keys: Vec<OptionsKey> = queries
-            .iter()
-            .map(|&(d, i, pin)| OptionsMemo::key_for(d, i, pin).expect("finite inputs"))
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let mut warmed = OptionsMemo::new();
-        warmed.prefetch(&ch, &keys);
-        let mut cold = OptionsMemo::new();
-        for &(d, i, pin) in &queries {
-            let a = warmed.get(&ch, d, i, pin);
-            let b = cold.get(&ch, d, i, pin);
-            assert_eq!(&*a, &*b, "prefetch changed the answer at d={d}, i={i}");
         }
     }
 

@@ -1,8 +1,8 @@
 //! Parallel-vs-serial planning-wave equivalence, property-tested.
 //!
-//! PR 7 fans the planning wave's heavy stages (interference-sum rebuilds,
-//! options-memo miss evaluation, per-pair key collection) out over the
-//! worker pool. The determinism contract (DESIGN.md §12) says the fan-out
+//! The bring-up wave fans its one heavy stage, the bulk interference-sum
+//! rebuild (`PairGainCache::rebuild_all_tiled`), out over the worker
+//! pool. The determinism contract (DESIGN.md §12) says the fan-out
 //! is pure scheduling: for any scenario, any thread count, and therefore
 //! any chunk geometry, everything observable is byte-identical to the
 //! 1-thread run. This test states that contract as a property over random
@@ -34,7 +34,7 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// A random small fleet: grid or star topology, every arbitration policy,
 /// optional far-field cull, optional mid-run mobility. Small horizons keep
 /// the 4-thread-count sweep affordable per case while still crossing
-/// several replan waves. The vendored proptest shim has no `prop_oneof!`,
+/// several replans. The vendored proptest shim has no `prop_oneof!`,
 /// so topology and policy are integer selectors mapped in one `prop_map`.
 fn arb_scenario() -> impl Strategy<Value = FleetScenario> {
     (0u32..4, 2usize..=16, 0u32..3, any::<bool>(), 0u32..3).prop_map(
@@ -48,8 +48,8 @@ fn arb_scenario() -> impl Strategy<Value = FleetScenario> {
             };
             if topo == 3 {
                 // Stars with coin-cell tags (1 case in 4): uncoordinated
-                // runs kill sessions, so the death path (mark_dead, wave
-                // re-dirtying) runs under the fan-out too.
+                // runs kill sessions, so the death path (a liveness flip
+                // re-dirtying every sum) runs under the fan-out too.
                 let tags = 3 + m % 6;
                 return FleetScenario::star(tags, Meters::new(0.5), 99.5, 0.002, arb)
                     .with_horizon(Seconds::new(8.0));
@@ -62,7 +62,8 @@ fn arb_scenario() -> impl Strategy<Value = FleetScenario> {
                 sc = sc.with_far_field_cull();
             }
             // A walking pair re-dirties the interference field mid-run,
-            // driving the wave's lazy per-pair fallback under the fan-out.
+            // so the sums the planning pair reads are rebuilt lazily after
+            // the bring-up wave.
             if mobile > 0 {
                 sc.pairs[0].walk = Some(LinearWalk {
                     start: Meters::new(0.5),

@@ -188,7 +188,7 @@ proptest! {
                 FleetEvent::Death(q) => {
                     let q = q % n;
                     live[q] = false;
-                    cache.mark_dead(q);
+                    cache.set_live(q, false);
                 }
                 FleetEvent::Move(q, p) => {
                     let q = q % n;

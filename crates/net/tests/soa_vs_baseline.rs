@@ -37,7 +37,8 @@ fn scenarios() -> Vec<(String, FleetScenario)> {
         }
     }
     // Stars: TDMA coasts, uncoordinated kills sessions — the death path
-    // (mark_dead, wave re-dirtying, quantum aborts) in both engines.
+    // (liveness flips re-dirtying every sum, quantum aborts) in both
+    // engines.
     for arb in [
         Arbitration::TdmaRoundRobin { slot: SLOT },
         Arbitration::Uncoordinated,

@@ -1,18 +1,20 @@
-//! The fleet engine rebuilds interference sums in bulk only at bring-up.
+//! The fleet engine rebuilds interference sums in bulk exactly once, before
+//! its first event.
 //!
-//! At bring-up every sum is cold and every pair is about to plan, so one
-//! pool-parallel wave rebuilds them all. After that a sum dirtied by a
-//! liveness flip, a death or a move is read only by the next plan of its
-//! own pair, so it is rebuilt on demand for that pair alone. These tests
-//! pin both halves through the telemetry counters: an open system runs
-//! exactly one `net.wave` and rebuilds no more edges afterwards than its
-//! lookups can ask for, and a closed grid still batches all n(n−1) edges
-//! of every overlapping policy into its bring-up wave.
+//! At t = 0 every sum is cold and every pair is about to plan, so one
+//! pool-parallel wave rebuilds the sums of the pairs on air. After that a
+//! sum dirtied by a liveness flip, a death or a move is read only by the
+//! next plan of its own pair, so it is rebuilt on demand for that pair
+//! alone. These tests pin the rule: a closed grid's first time-series row,
+//! taken before any event runs, already sees a clean cache; every policy
+//! opens exactly one `net.wave`; a closed grid batches all n(n−1) edges of
+//! every overlapping policy into that wave; and an open system rebuilds no
+//! more edges afterwards than its lookups can ask for.
 //!
 //! The capture switches are process-wide, so the tests in this file take
 //! one lock and run the engine on a single worker thread.
 
-use braidio_net::{run_fleet, Arbitration, FleetReport, FleetScenario};
+use braidio_net::{run_fleet, run_fleet_sampled, Arbitration, FleetReport, FleetScenario};
 use braidio_telemetry as telemetry;
 use braidio_units::{Meters, Seconds};
 use std::sync::Mutex;
@@ -68,6 +70,7 @@ fn open_system_rebuilds_only_what_plans_read() {
     let t = traced(&sc);
     assert!(t.report.replans > 0, "no plans — vacuous run");
     assert_eq!(t.waves, 1, "only the bring-up wave may run");
+    assert_eq!(t.wave_edges, 0, "nobody is on air before the first event");
     let lazy = t.edges - t.wave_edges;
     assert!(lazy > 0, "churn dirtied no sum — vacuous run");
     assert!(
@@ -88,16 +91,7 @@ fn closed_grid_batches_bring_up() {
             slot: Seconds::new(0.25),
         },
     ] {
-        let sc = FleetScenario::grid_pairs(
-            n as usize,
-            Meters::new(0.5),
-            Meters::new(3.0),
-            1.0,
-            1.0,
-            arb,
-        )
-        .with_horizon(Seconds::new(6.0));
-        let t = traced(&sc);
+        let t = traced(&grid(n as usize, arb));
         let want = if arb.carriers_overlap() {
             n * (n - 1)
         } else {
@@ -107,4 +101,27 @@ fn closed_grid_batches_bring_up() {
         assert_eq!(t.edges, want, "{}: edges", arb.label());
         assert_eq!(t.wave_edges, want, "{}: wave edges", arb.label());
     }
+}
+
+fn grid(n: usize, arb: Arbitration) -> FleetScenario {
+    FleetScenario::grid_pairs(n, Meters::new(0.5), Meters::new(3.0), 1.0, 1.0, arb)
+        .with_horizon(Seconds::new(6.0))
+}
+
+#[test]
+fn bring_up_wave_runs_before_the_first_event() {
+    let _lock = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
+    let sc = grid(12, Arbitration::Uncoordinated);
+    let (_, series) = braidio_pool::with_threads(1, || run_fleet_sampled(&sc, Seconds::new(0.5)));
+    let row0 = &series.samples[0];
+    assert_eq!(row0.t, 0.0);
+    assert_eq!(
+        row0.events.iter().sum::<u32>(),
+        0,
+        "row 0 precedes every event"
+    );
+    assert_eq!(
+        row0.cache_ndirty, 0,
+        "every sum is built before the first event"
+    );
 }

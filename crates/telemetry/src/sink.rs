@@ -427,6 +427,17 @@ pub fn parse_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     }
 }
 
+/// Parse `"key":` as a simulated time or duration: a finite, non-negative
+/// number, or `None` (missing, malformed, infinite, NaN or negative). The
+/// validator flags such a field; the offline analyzer skips it through the
+/// same rule, so no value the validator rejects reaches its arithmetic.
+pub fn parse_seconds(line: &str, key: &str) -> Option<f64> {
+    parse_field(line, key)?
+        .parse()
+        .ok()
+        .filter(|t: &f64| t.is_finite() && *t >= 0.0)
+}
+
 /// The closed set of event names schema 1 admits.
 const EVENT_NAMES: [&str; 11] = [
     "mode_switch",
@@ -548,10 +559,7 @@ pub fn validate_jsonl_full(jsonl: &str) -> TraceReport {
             violations.push(format!("line {n}: missing/bad \"track\""));
             continue;
         };
-        let Some(t) = parse_field(line, "t")
-            .and_then(|v| v.parse().ok())
-            .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-        else {
+        let Some(t) = parse_seconds(line, "t") else {
             violations.push(format!("line {n}: missing/bad \"t\""));
             continue;
         };
@@ -627,13 +635,8 @@ pub fn validate_jsonl_full(jsonl: &str) -> TraceReport {
                     }
                 }
             }
-            "admitted" => {
-                let ok = parse_field(line, "latency")
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .is_some_and(|l| l.is_finite() && l >= 0.0);
-                if !ok {
-                    violations.push(format!("line {n}: missing/bad \"latency\""));
-                }
+            "admitted" if parse_seconds(line, "latency").is_none() => {
+                violations.push(format!("line {n}: missing/bad \"latency\""));
             }
             _ => {}
         }

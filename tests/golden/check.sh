@@ -1,6 +1,6 @@
 #!/bin/sh
 # Byte-identity gate: compare the stdout of `experiments` against the
-# committed goldens in this directory, and the SHA-256 of the churn
+# committed goldens in this directory, and the SHA-256 of each
 # `--trace-events` JSONL against its committed digest, at one worker
 # thread and at four.
 #
@@ -24,10 +24,14 @@ cases="all.txt:all
 fleet.txt:fleet
 fleet-churn.txt:fleet --churn
 fleet-city-256.txt:fleet --city-block --scale 256
+fleet-scale-64.txt:fleet --scale 64
 fleet-scale-1024.txt:fleet --scale 1024"
 
-# The churn event trace is ~25 MB, so only its digest is committed.
-trace_digest="$dir/fleet-churn-trace.sha256"
+# Event traces run to megabytes, so only their digests are committed.
+# digest file : experiments arguments (the trace path is appended)
+traces="fleet-churn-trace.sha256:fleet --churn
+fleet-trace.sha256:fleet
+fleet-city-256-trace.sha256:fleet --city-block --scale 256"
 
 tmp=$(mktemp)
 jsonl=$(mktemp)
@@ -36,13 +40,20 @@ status=0
 echo "$cases" | while IFS=: read -r file args; do
     if [ "$update" = 1 ]; then
         # shellcheck disable=SC2086
-        "$bin" $args --jobs 1 > "$dir/$file" 2>/dev/null
+        if ! "$bin" $args --jobs 1 > "$tmp" 2>/dev/null; then
+            echo "FAIL $args (--jobs 1): $bin exited non-zero"
+            exit 1
+        fi
+        cp "$tmp" "$dir/$file"
         echo "wrote $dir/$file"
         continue
     fi
     for jobs in 1 4; do
         # shellcheck disable=SC2086
-        "$bin" $args --jobs "$jobs" > "$tmp" 2>/dev/null
+        if ! "$bin" $args --jobs "$jobs" > "$tmp" 2>/dev/null; then
+            echo "FAIL $args (--jobs $jobs): $bin exited non-zero"
+            exit 1
+        fi
         if cmp "$dir/$file" "$tmp"; then
             echo "ok   $args (--jobs $jobs)"
         else
@@ -52,21 +63,37 @@ echo "$cases" | while IFS=: read -r file args; do
     done
 done || status=1
 
-if [ "$update" = 1 ]; then
-    "$bin" fleet --churn --trace-events "$jsonl" --jobs 1 > /dev/null 2>&1
-    sha256sum < "$jsonl" | cut -d' ' -f1 > "$trace_digest"
-    echo "wrote $trace_digest"
-    exit $status
-fi
-want=$(cat "$trace_digest")
-for jobs in 1 4; do
-    "$bin" fleet --churn --trace-events "$jsonl" --jobs "$jobs" > /dev/null 2>&1
-    got=$(sha256sum < "$jsonl" | cut -d' ' -f1)
-    if [ "$got" = "$want" ]; then
-        echo "ok   fleet --churn --trace-events sha256 (--jobs $jobs)"
-    else
-        echo "DIFF fleet --churn --trace-events sha256 $got (--jobs $jobs) vs $trace_digest"
-        status=1
+echo "$traces" | while IFS=: read -r file args; do
+    if [ "$update" = 1 ]; then
+        : > "$jsonl"
+        # shellcheck disable=SC2086
+        if ! "$bin" $args --trace-events "$jsonl" --jobs 1 > /dev/null 2>&1; then
+            echo "FAIL $args --trace-events (--jobs 1): $bin exited non-zero"
+            exit 1
+        fi
+        sha256sum < "$jsonl" | cut -d' ' -f1 > "$dir/$file"
+        echo "wrote $dir/$file"
+        continue
     fi
-done
+    want=$(cat "$dir/$file")
+    fail=0
+    for jobs in 1 4; do
+        # A run that fails must not leave the previous run's trace behind.
+        : > "$jsonl"
+        # shellcheck disable=SC2086
+        if ! "$bin" $args --trace-events "$jsonl" --jobs "$jobs" > /dev/null 2>&1; then
+            echo "FAIL $args --trace-events (--jobs $jobs): $bin exited non-zero"
+            fail=1
+            continue
+        fi
+        got=$(sha256sum < "$jsonl" | cut -d' ' -f1)
+        if [ "$got" = "$want" ]; then
+            echo "ok   $args --trace-events sha256 (--jobs $jobs)"
+        else
+            echo "DIFF $args --trace-events sha256 $got (--jobs $jobs) vs $dir/$file"
+            fail=1
+        fi
+    done
+    [ "$fail" = 0 ] || exit 1
+done || status=1
 exit $status
